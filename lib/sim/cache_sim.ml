@@ -132,6 +132,16 @@ let retouch c lvl set =
   c.digest <- c.digest lxor lvl.set_hash.(set) lxor h;
   lvl.set_hash.(set) <- h
 
+(* The way of [line] among ways [w..ways-1] of the set at [off], or -1.
+   Top-level, like [walk] below: a local [let rec] capturing its
+   environment would allocate a closure on every access. The int
+   annotations keep [=] and the array read monomorphic; inferred
+   polymorphic, they would go through the runtime's generic compare. *)
+let rec find_way (lines : int array) off ways (line : int) w =
+  if w = ways then -1
+  else if lines.(off + w) = line then w
+  else find_way lines off ways line (w + 1)
+
 (* Probe a level: true if the line is present; on hit, move to MRU.
    Fast path: a line already at way 0 needs no rotation and therefore
    no re-hash — the dominant case for Set_assoc_model resident pools. *)
@@ -140,13 +150,7 @@ let probe c lvl line =
   let off = set * lvl.ways in
   if lvl.lines.(off) = line then true
   else begin
-    let ways = lvl.ways in
-    let rec find w =
-      if w = ways then -1
-      else if lvl.lines.(off + w) = line then w
-      else find (w + 1)
-    in
-    let pos = find 1 in
+    let pos = find_way lvl.lines off lvl.ways line 1 in
     if pos < 0 then false
     else begin
       for j = pos downto 1 do
@@ -167,23 +171,22 @@ let fill c lvl line =
   lvl.lines.(off) <- line;
   retouch c lvl set
 
-(* Walk the hierarchy for one line; returns the source rank and fills
-   all levels above it (same outside-in order as the reference). *)
-let lookup c line =
-  let n = Array.length c.plevels in
-  let rec walk i =
-    if i = n then n_ranks - 1 (* MEM *)
+(* Walk the hierarchy from level [i] for one line; returns the source
+   rank and fills all levels above it (same outside-in order as the
+   reference). *)
+let rec walk c line i =
+  if i = Array.length c.plevels then n_ranks - 1 (* MEM *)
+  else begin
+    let lvl = c.plevels.(i) in
+    if probe c lvl line then lvl.rank
     else begin
-      let lvl = c.plevels.(i) in
-      if probe c lvl line then lvl.rank
-      else begin
-        let src = walk (i + 1) in
-        fill c lvl line;
-        src
-      end
+      let src = walk c line (i + 1) in
+      fill c lvl line;
+      src
     end
-  in
-  walk 0
+  end
+
+let lookup c line = walk c line 0
 
 let run_prefetcher c line =
   let step = c.line_step in

@@ -60,6 +60,8 @@ type dinstr = {
   op_id : int;
   fixed : (int * int) array;    (* (pipe kind, occupancy in uarch ticks) *)
   alt : (int * int) array;
+  fmask : int;                  (* bit k set iff [fixed] uses pipe kind k *)
+  amask : int;                  (* the same over [alt] *)
   latency : int;                (* base latency; memory ops: per access *)
   dests : int array;            (* dense register ids *)
   srcs : int array;
@@ -74,6 +76,8 @@ type dprog = {
   n_regs : int;
   daf : float;
 }
+
+let kinds_mask uses = Array.fold_left (fun m (k, _) -> m lor (1 lsl k)) 0 uses
 
 let deploy ~uarch ~opmap ~streams (p : Ir.t) =
   let reg_ids = Hashtbl.create 64 in
@@ -103,10 +107,14 @@ let deploy ~uarch ~opmap ~streams (p : Ir.t) =
       | Mp_isa.Instruction.Load -> 1
       | Mp_isa.Instruction.Store -> 2
     in
+    let fixed = Array.of_list (List.map conv res.Uarch_def.fixed) in
+    let alt = Array.of_list (List.map conv res.Uarch_def.alt) in
     {
       op_id = intern opmap op.Mp_isa.Instruction.mnemonic;
-      fixed = Array.of_list (List.map conv res.Uarch_def.fixed);
-      alt = Array.of_list (List.map conv res.Uarch_def.alt);
+      fixed;
+      alt;
+      fmask = kinds_mask fixed;
+      amask = kinds_mask alt;
       latency = res.Uarch_def.latency;
       dests = Array.of_list (List.map reg_id i.Ir.dests);
       srcs = Array.of_list (List.map reg_id i.Ir.srcs);
@@ -125,6 +133,8 @@ let deploy ~uarch ~opmap ~streams (p : Ir.t) =
       op_id = intern opmap "bdnz";
       fixed = [| (pipe_index Pipe.Bru, uarch.Uarch_def.occ_den) |];
       alt = [||];
+      fmask = 1 lsl pipe_index Pipe.Bru;
+      amask = 0;
       latency = 1;
       dests = [||];
       srcs = [||];
@@ -164,15 +174,17 @@ let cycles_skipped_ctr = Atomic.make 0
 let period_hits () = Atomic.get period_hits_ctr
 let cycles_skipped () = Atomic.get cycles_skipped_ctr
 
+(* Read once, at module initialisation: pool domains consult it
+   concurrently, and a lazy value forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in OCaml 5. *)
 let env_period =
-  lazy
-    (match Sys.getenv_opt "MP_PERIOD" with
-     | Some v ->
-       not
-         (List.mem
-            (String.lowercase_ascii (String.trim v))
-            [ "off"; "0"; "false"; "no" ])
-     | None -> true)
+  match Sys.getenv_opt "MP_PERIOD" with
+  | Some v ->
+    not
+      (List.mem
+         (String.lowercase_ascii (String.trim v))
+         [ "off"; "0"; "false"; "no" ])
+  | None -> true
 
 type pending = {
   mutable di : int;      (* body index *)
@@ -203,6 +215,7 @@ let zero_raw () =
 
 type thread_state = {
   prog : dprog;
+  lop : int array;            (* run-local opcode id per body index *)
   queue : pending array;      (* ring buffer of capacity window *)
   mutable q_head : int;
   mutable q_len : int;
@@ -212,7 +225,10 @@ type thread_state = {
   mutable dispatch_seq : int;
   mutable in_flight : int;
   mutable stall_until : int;
-  mutable last_dispatch_op : int;
+  mutable last_dispatch_op : int;  (* run-local opcode id; -1 = none *)
+  mutable starve_since : int;
+      (* first cycle of the current stretch in which the thread held
+         ready work and issued none of it; -1 = not in such a stretch *)
   comp_cal : int array;       (* completions calendar, ring on cycles *)
   reg_last_writer : int array; (* dispatch seq of the youngest writer *)
   (* completion times per in-flight dispatch seq, tagged ring *)
@@ -239,6 +255,21 @@ type thread_state = {
 }
 
 let calendar_size = 16384
+
+(* Without flambda, [Stdlib.max]/[min] compare polymorphically through
+   the runtime; these are the int-specialised versions the hot loop
+   uses. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+let count_pipe c kind upd_ops =
+  match kind with
+  | 0 -> c.fxu <- c.fxu + 1
+  | 1 -> c.lsu <- c.lsu + 1
+  | 2 -> c.vsu <- c.vsu + 1
+  | 3 -> c.bru <- c.bru + 1
+  | 4 -> c.st <- c.st + 1
+  | _ -> c.fxu <- c.fxu + upd_ops
 
 let level_id = function
   | Cache_geometry.L1 -> 0
@@ -296,7 +327,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   (* Period skipping pays for its fingerprints only when there are
      enough measured iterations to elide; short windows run dense. *)
   let period_on =
-    (match period with Some b -> b | None -> Lazy.force env_period)
+    (match period with Some b -> b | None -> env_period)
     && measure >= 4
   in
   let cache = Cache_sim.create uarch in
@@ -334,12 +365,44 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   let op_issues = Array.make (max 1 (opmap_size opmap + 64)) 0 in
   let level_loads = Array.make 4 0 in
   let switch_events = ref 0 in
-  (* dispatch-bus opcode transitions: a flat dense matrix over interned
-     opcode pairs — the per-dispatch Hashtbl this replaces dominated the
-     dispatch loop. All ids are < opmap_size at run entry (interning
-     happens at deploy, never mid-run). *)
-  let trans_stride = max 1 (opmap_size opmap) in
+  (* Run-local opcode ids: the L distinct opcodes these programs deploy
+     are numbered 0..L-1 in ascending global-id order. All global ids
+     are < opmap_size at run entry (interning happens at deploy, never
+     mid-run). *)
+  let local_of = Array.make (max 1 (opmap_size opmap)) (-1) in
+  Array.iter
+    (fun (p : dprog) ->
+      Array.iter (fun (d : dinstr) -> local_of.(d.op_id) <- 0) p.body)
+    progs;
+  let n_local = ref 0 in
+  Array.iteri
+    (fun g l ->
+      if l >= 0 then begin
+        local_of.(g) <- !n_local;
+        incr n_local
+      end)
+    local_of;
+  let global_of = Array.make !n_local 0 in
+  Array.iteri (fun g l -> if l >= 0 then global_of.(l) <- g) local_of;
+  (* dispatch-bus opcode transitions: a flat dense L x L matrix over
+     run-local opcode pairs — the per-dispatch Hashtbl this replaces
+     dominated the dispatch loop, and an opmap_size^2 matrix dominated
+     the copies every boundary snapshot takes. Local ids ascend with
+     global ids, so walking the matrix in key order lists pairs in
+     ascending global (prev, next) order. *)
+  let trans_stride = !n_local in
   let transitions = Array.make (trans_stride * trans_stride) 0 in
+  let transition_list counts =
+    let acc = ref [] in
+    for key = Array.length counts - 1 downto 0 do
+      let n = counts.(key) in
+      if n <> 0 then
+        acc :=
+          (global_of.(key / trans_stride), global_of.(key mod trans_stride), n)
+          :: !acc
+    done;
+    !acc
+  in
   (* scratch for pipe-slot selection, hoisted out of the cycle loop *)
   let max_fixed =
     Array.fold_left
@@ -355,6 +418,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       (fun prog ->
         {
           prog;
+          lop = Array.map (fun (d : dinstr) -> local_of.(d.op_id)) prog.body;
           queue =
             Array.init window (fun _ ->
                 { di = 0; it = 0; seq = 0; deps = Array.make 4 (-1);
@@ -368,6 +432,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           in_flight = 0;
           stall_until = 0;
           last_dispatch_op = -1;
+          starve_since = -1;
           comp_cal = Array.make calendar_size 0;
           reg_last_writer = Array.make prog.n_regs (-1);
           comp_seq = Array.make (4 * window) (-1);
@@ -394,44 +459,46 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
      runs out before the end of the cycle; reserving from the
      sub-cycle free tick (not the cycle boundary) lets occupancies like
      119/100 sustain their exact 100/119 throughput. *)
-  (* Earliest free time per pipe kind: lets the common "every instance
-     busy" case answer without scanning the instance array. The scan
-     still picks the lowest-index free instance, exactly as before. *)
-  let pipe_min = Array.make n_pipe_kinds 0 in
-  let recompute_pipe_min k =
+  (* [busy]: bit k set iff every instance of kind k is busy this cycle
+     (no residual below [tick]). It is updated wherever a residual
+     changes, so the issue walk rejects an entry with two mask tests
+     instead of scanning instance arrays; [free_slot] still picks the
+     lowest-index free instance. *)
+  let busy = ref 0 in
+  let recompute_busy k =
     let insts = pipe_free.(k) in
-    let m = ref insts.(0) in
-    for i = 1 to Array.length insts - 1 do
-      if insts.(i) < !m then m := insts.(i)
+    let free = ref false in
+    for i = 0 to Array.length insts - 1 do
+      if insts.(i) < tick then free := true
     done;
-    pipe_min.(k) <- !m
+    if !free then busy := !busy land lnot (1 lsl k)
+    else busy := !busy lor (1 lsl k)
   in
-  let find_free k =
-    if pipe_min.(k) >= tick then -1
-    else begin
-      let insts = pipe_free.(k) in
-      let n = Array.length insts in
-      let rec go i =
-        if i = n then -1 else if insts.(i) < tick then i else go (i + 1)
-      in
-      go 0
-    end
+  (* lowest-index free instance of kind [k]; only asked while bit k of
+     [busy] is clear, so one exists *)
+  let free_slot k =
+    let insts = pipe_free.(k) in
+    let i = ref 0 in
+    while insts.(!i) >= tick do incr i done;
+    !i
   in
   (* advance the pipe residual epoch to [now] (clamping at free) *)
   let rebase_pipes now =
     if now > !pipe_now then begin
       let d = (now - !pipe_now) * tick in
-      Array.iter
-        (fun insts ->
-          for i = 0 to Array.length insts - 1 do
-            let r = insts.(i) - d in
-            insts.(i) <- (if r > 0 then r else 0)
-          done)
-        pipe_free;
+      let b = ref 0 in
       for k = 0 to n_pipe_kinds - 1 do
-        let m = pipe_min.(k) - d in
-        pipe_min.(k) <- (if m > 0 then m else 0)
+        let insts = pipe_free.(k) in
+        let free = ref false in
+        for i = 0 to Array.length insts - 1 do
+          let r = insts.(i) - d in
+          let r = if r > 0 then r else 0 in
+          insts.(i) <- r;
+          if r < tick then free := true
+        done;
+        if not !free then b := !b lor (1 lsl k)
       done;
+      busy := !b;
       pipe_now := now
     end
   in
@@ -483,7 +550,12 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
      they terminate the run like simulated ones, but never advance
      [iter] itself, whose raw value carries the stream/pattern phases. *)
   let all_done () =
-    Array.for_all (fun t -> t.iter + t.iter_credit >= total_iters) threads
+    let d = ref true in
+    for i = 0 to nthreads - 1 do
+      let t = threads.(i) in
+      if t.iter + t.iter_credit < total_iters then d := false
+    done;
+    !d
   in
   let reset_measurement () =
     Array.iter
@@ -732,14 +804,8 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                       level_loads.(i) - b.b_level_loads.(i));
                 pd_switch = !switch_events - b.b_switch;
                 pd_transitions =
-                  (let acc = ref [] in
-                   for key = Array.length transitions - 1 downto 0 do
-                     let d = transitions.(key) - b.b_transitions.(key) in
-                     if d <> 0 then
-                       acc :=
-                         (key / trans_stride, key mod trans_stride, d) :: !acc
-                   done;
-                   !acc);
+                  transition_list
+                    (Array.mapi (fun i n -> n - b.b_transitions.(i)) transitions);
                 pd_prefetches =
                   Cache_sim.prefetches_issued cache
                   - b.b_cache.(Array.length b.b_cache - 1);
@@ -784,6 +850,102 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     Hashtbl.reset b_table
   in
   let mispredict_penalty = 6 in
+  (* Reserve a pipe instance and count the unit event. Like every
+     helper the cycle loop calls, it is defined once per run: without
+     flambda a [fun], local [let rec] or closure-captured [ref]
+     evaluated inside the loop allocates each time it is evaluated, and
+     the loop below allocates nothing. *)
+  let reserve c (di : dinstr) kind slot occ =
+    let insts = pipe_free.(kind) in
+    (* residuals are clamped >= 0 at rebase, so reserving from the
+       sub-cycle free tick is a plain addition *)
+    insts.(slot) <- insts.(slot) + occ;
+    recompute_busy kind;
+    if !measuring then count_pipe c kind di.upd_ops
+  in
+  (* Issue one entry whose pipes [busy] shows free: pick every slot
+     (the alternate choice included) before any of its reservations,
+     as a scan that tested first and reserved second would. *)
+  let issue_entry t now (e : pending) (di : dinstr) =
+    let c = t.counters in
+    let fixed = di.fixed in
+    let nfixed = Array.length fixed in
+    for f = 0 to nfixed - 1 do
+      fixed_slots.(f) <- free_slot (fst fixed.(f))
+    done;
+    let alt_i = ref (-1) in
+    if di.amask <> 0 then begin
+      (* the first alternate kind with a free instance *)
+      alt_i := 0;
+      while !busy land (1 lsl fst di.alt.(!alt_i)) <> 0 do incr alt_i done
+    end;
+    let alt_slot = if !alt_i >= 0 then free_slot (fst di.alt.(!alt_i)) else -1 in
+    for f = 0 to nfixed - 1 do
+      let kind, occ = fixed.(f) in
+      reserve c di kind fixed_slots.(f) occ
+    done;
+    if !alt_i >= 0 then begin
+      let kind, occ = di.alt.(!alt_i) in
+      reserve c di kind alt_slot occ
+    end;
+    (* latency *)
+    let lat =
+      if di.mem = 1 && Array.length di.stream > 0 then begin
+        let addr = di.stream.(e.it mod Array.length di.stream) in
+        let src = Cache_sim.access cache ~addr ~store:false in
+        let lid = level_id src in
+        if !measuring then begin
+          (match lid with
+           | 0 -> c.l1 <- c.l1 + 1
+           | 1 -> c.l2 <- c.l2 + 1
+           | 2 -> c.l3 <- c.l3 + 1
+           | _ -> c.memc <- c.memc + 1);
+          level_loads.(lid) <- level_loads.(lid) + 1
+        end;
+        latencies.(lid)
+      end
+      else if di.mem = 2 && Array.length di.stream > 0 then begin
+        let addr = di.stream.(e.it mod Array.length di.stream) in
+        ignore (Cache_sim.access cache ~addr ~store:true);
+        di.latency
+      end
+      else di.latency
+    in
+    (* conditional branch prediction *)
+    if Array.length di.pattern > 0 then begin
+      let outcome = di.pattern.(e.it mod Array.length di.pattern) in
+      let p = t.predictor.(e.di) in
+      let predicted = p >= 2 in
+      t.predictor.(e.di) <- (if outcome then imin 3 (p + 1) else imax 0 (p - 1));
+      if predicted <> outcome then
+        t.stall_until <- imax t.stall_until (now + mispredict_penalty)
+    end;
+    let completion = now + imax 1 lat in
+    let ring = Array.length t.comp_seq in
+    let idx = e.seq mod ring in
+    if t.comp_seq.(idx) = e.seq then begin
+      t.comp_time.(idx) <- completion;
+      (* wake consumers that were waiting on this producer's issue: its
+         completion time is now known *)
+      let w = ref t.whead.(idx) in
+      t.whead.(idx) <- -1;
+      while !w >= 0 do
+        let nw = t.wlink.(!w) in
+        t.wlink.(!w) <- -1;
+        let ws = !w / 4 in
+        t.n_wait.(ws) <- t.n_wait.(ws) - 1;
+        if completion > t.ready_at.(ws) then t.ready_at.(ws) <- completion;
+        if t.n_wait.(ws) = 0 then rcal_park t ws t.ready_at.(ws);
+        w := nw
+      done
+    end;
+    let cslot = completion land (calendar_size - 1) in
+    t.comp_cal.(cslot) <- t.comp_cal.(cslot) + 1;
+    if !measuring then begin
+      c.instrs <- c.instrs + 1;
+      op_issues.(di.op_id) <- op_issues.(di.op_id) + 1
+    end
+  in
   while not (all_done ()) do
     let now = !cycle in
     rebase_pipes now;
@@ -802,30 +964,26 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       | Some b -> apply_period b now
       | None -> Hashtbl.add b_table fp (snapshot now)
     end;
-    (* retire completions from the calendar *)
-    Array.iter
-      (fun t ->
-        let slot = now land (calendar_size - 1) in
-        t.in_flight <- t.in_flight - t.comp_cal.(slot);
-        t.comp_cal.(slot) <- 0)
-      threads;
-    (* wake entries whose operand-arrival cycle is now *)
-    Array.iter
-      (fun t ->
-        let idx = now land (calendar_size - 1) in
-        let s = ref t.rcal.(idx) in
-        t.rcal.(idx) <- -1;
-        while !s >= 0 do
-          let nx = t.rcal_next.(!s) in
-          t.rcal_next.(!s) <- -1;
-          if t.ready_at.(!s) > now then
-            (* calendar aliasing guard; unreachable while latencies stay
-               below the calendar span, but cheap to keep honest *)
-            rcal_park t !s t.ready_at.(!s)
-          else ready_insert t !s;
-          s := nx
-        done)
-      threads;
+    (* retire completions from the calendar, then wake entries whose
+       operand-arrival cycle is now *)
+    let cal = now land (calendar_size - 1) in
+    for ti = 0 to nthreads - 1 do
+      let t = threads.(ti) in
+      t.in_flight <- t.in_flight - t.comp_cal.(cal);
+      t.comp_cal.(cal) <- 0;
+      let s = ref t.rcal.(cal) in
+      t.rcal.(cal) <- -1;
+      while !s >= 0 do
+        let nx = t.rcal_next.(!s) in
+        t.rcal_next.(!s) <- -1;
+        if t.ready_at.(!s) > now then
+          (* calendar aliasing guard; unreachable while latencies stay
+             below the calendar span, but cheap to keep honest *)
+          rcal_park t !s t.ready_at.(!s)
+        else ready_insert t !s;
+        s := nx
+      done
+    done;
     (* dispatch: shared width, round-robin priority *)
     let progressed = ref false in
     let budget = ref uarch.Uarch_def.dispatch_width in
@@ -895,18 +1053,18 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           else rcal_park t sidx t.ready_at.(sidx)
         end;
         progressed := true;
-        let op_id = t.prog.body.(t.pc).op_id in
+        let op = t.lop.(t.pc) in
         if !measuring then begin
           t.counters.dispatched <- t.counters.dispatched + 1;
           (* opcode transition on the shared dispatch bus: the order-
              dependent switching activity the ground truth charges for *)
-          if op_id <> t.last_dispatch_op && t.last_dispatch_op >= 0 then begin
+          if op <> t.last_dispatch_op && t.last_dispatch_op >= 0 then begin
             incr switch_events;
-            let key = (t.last_dispatch_op * trans_stride) + op_id in
+            let key = (t.last_dispatch_op * trans_stride) + op in
             transitions.(key) <- transitions.(key) + 1
           end
         end;
-        t.last_dispatch_op <- op_id;
+        t.last_dispatch_op <- op;
         decr budget;
         t.pc <- t.pc + 1;
         if t.pc = body_len then begin
@@ -923,157 +1081,61 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
        the per-entry dependency rescans. Nothing becomes ready
        mid-cycle (completions are always at least one cycle out), so
        the walk sees a stable frontier plus same-cycle dispatches
-       appended at the tail, exactly as the dense scan did. *)
+       appended at the tail, exactly as the dense scan did.
+
+       An entry that cannot issue writes nothing, so the walk may skip
+       it on the [busy] mask alone (some fixed kind busy, or every
+       alternate kind busy). *)
     for tk = 0 to nthreads - 1 do
-      let t = threads.((now + tk) mod nthreads) in
-      begin
-        let c = t.counters in
-        let ring = Array.length t.comp_seq in
-        let cursor = ref t.rhead in
-        while !cursor >= 0 do
-          let s = !cursor in
-          let next = t.rnext.(s) in
-          let e = t.queue.(s) in
-          let di = t.prog.body.(e.di) in
-          begin
-            (* pipe availability *)
-            let fixed = di.fixed in
-            let nfixed = Array.length fixed in
-            let ok = ref true in
-            for f = 0 to nfixed - 1 do
-              let kind, _ = fixed.(f) in
-              let sl = find_free kind in
-              if sl < 0 then ok := false else fixed_slots.(f) <- sl
-            done;
-            let alt_choice = ref (-1) in
-            let alt_slot = ref (-1) in
-            if !ok && Array.length di.alt > 0 then begin
-              let found = ref false in
-              Array.iter
-                (fun (kind, _) ->
-                  if not !found then begin
-                    let sl = find_free kind in
-                    if sl >= 0 then begin
-                      found := true;
-                      alt_choice := kind;
-                      alt_slot := sl
-                    end
-                  end)
-                di.alt;
-              if not !found then ok := false
-            end;
-            if !ok then begin
-              (* reserve pipes, count unit events *)
-              let count_pipe kind =
-                if !measuring then
-                  match kind with
-                  | 0 -> c.fxu <- c.fxu + 1
-                  | 1 -> c.lsu <- c.lsu + 1
-                  | 2 -> c.vsu <- c.vsu + 1
-                  | 3 -> c.bru <- c.bru + 1
-                  | 4 -> c.st <- c.st + 1
-                  | _ -> c.fxu <- c.fxu + di.upd_ops
-              in
-              let reserve kind slot occ =
-                let insts = pipe_free.(kind) in
-                (* residuals are clamped >= 0 at rebase, so reserving
-                   from the sub-cycle free tick is a plain addition *)
-                insts.(slot) <- insts.(slot) + occ;
-                recompute_pipe_min kind;
-                count_pipe kind
-              in
-              for f = 0 to nfixed - 1 do
-                let kind, occ = fixed.(f) in
-                reserve kind fixed_slots.(f) occ
-              done;
-              if !alt_choice >= 0 then begin
-                let occ =
-                  let rec find i =
-                    let k, o = di.alt.(i) in
-                    if k = !alt_choice then o else find (i + 1)
-                  in
-                  find 0
-                in
-                reserve !alt_choice !alt_slot occ
-              end;
-              (* latency *)
-              let lat =
-                if di.mem = 1 && Array.length di.stream > 0 then begin
-                  let addr = di.stream.(e.it mod Array.length di.stream) in
-                  let src = Cache_sim.access cache ~addr ~store:false in
-                  let lid = level_id src in
-                  if !measuring then begin
-                    (match lid with
-                     | 0 -> c.l1 <- c.l1 + 1
-                     | 1 -> c.l2 <- c.l2 + 1
-                     | 2 -> c.l3 <- c.l3 + 1
-                     | _ -> c.memc <- c.memc + 1);
-                    level_loads.(lid) <- level_loads.(lid) + 1
-                  end;
-                  latencies.(lid)
-                end
-                else if di.mem = 2 && Array.length di.stream > 0 then begin
-                  let addr = di.stream.(e.it mod Array.length di.stream) in
-                  ignore (Cache_sim.access cache ~addr ~store:true);
-                  di.latency
-                end
-                else di.latency
-              in
-              (* conditional branch prediction *)
-              if Array.length di.pattern > 0 then begin
-                let outcome = di.pattern.(e.it mod Array.length di.pattern) in
-                let p = t.predictor.(e.di) in
-                let predicted = p >= 2 in
-                t.predictor.(e.di) <-
-                  (if outcome then min 3 (p + 1) else max 0 (p - 1));
-                if predicted <> outcome then
-                  t.stall_until <- max t.stall_until (now + mispredict_penalty)
-              end;
-              let completion = now + max 1 lat in
-              let idx = e.seq mod ring in
-              if t.comp_seq.(idx) = e.seq then begin
-                t.comp_time.(idx) <- completion;
-                (* wake consumers that were waiting on this producer's
-                   issue: its completion time is now known *)
-                let w = ref t.whead.(idx) in
-                t.whead.(idx) <- -1;
-                while !w >= 0 do
-                  let nw = t.wlink.(!w) in
-                  t.wlink.(!w) <- -1;
-                  let ws = !w / 4 in
-                  t.n_wait.(ws) <- t.n_wait.(ws) - 1;
-                  if completion > t.ready_at.(ws) then
-                    t.ready_at.(ws) <- completion;
-                  if t.n_wait.(ws) = 0 then rcal_park t ws t.ready_at.(ws);
-                  w := nw
-                done
-              end;
-              t.comp_cal.(completion land (calendar_size - 1)) <-
-                t.comp_cal.(completion land (calendar_size - 1)) + 1;
-              if !measuring then begin
-                c.instrs <- c.instrs + 1;
-                op_issues.(di.op_id) <- op_issues.(di.op_id) + 1
-              end;
-              progressed := true;
-              ready_remove t s;
-              e.live <- false
-            end
-          end;
-          cursor := next
-        done;
-        (* compact the head of the ring *)
-        while t.q_len > 0 && not t.queue.(t.q_head).live do
-          t.q_head <- (t.q_head + 1) mod window;
-          t.q_len <- t.q_len - 1
-        done
-      end
+      let ti = (now + tk) mod nthreads in
+      let t = threads.(ti) in
+      if t.starve_since < 0 then t.starve_since <- now;
+      let cursor = ref t.rhead in
+      while !cursor >= 0 do
+        let s = !cursor in
+        let next = t.rnext.(s) in
+        let e = t.queue.(s) in
+        let di = t.prog.body.(e.di) in
+        let b = !busy in
+        if di.fmask land b = 0 && (di.amask = 0 || di.amask land lnot b <> 0)
+        then begin
+          issue_entry t now e di;
+          t.starve_since <- now;
+          progressed := true;
+          ready_remove t s;
+          e.live <- false;
+        end;
+        cursor := next
+      done;
+      (* Issue priority rotates with the cycle, so a pipe kind that
+         frees on a fixed stride can land on the same thread forever
+         (two threads and a 2-cycle occupancy). A thread holding ready
+         work it has not issued for a calendar span is starved: fail
+         rather than spin. *)
+      if t.rhead < 0 then t.starve_since <- -1
+      else if now - t.starve_since >= calendar_size then
+        failwith
+          (Printf.sprintf
+             "Core_sim: thread %d starved: ready work but no issue from \
+              cycle %d to cycle %d"
+             ti t.starve_since now);
+      (* compact the head of the ring *)
+      while t.q_len > 0 && not t.queue.(t.q_head).live do
+        t.q_head <- (t.q_head + 1) mod window;
+        t.q_len <- t.q_len - 1
+      done
     done;
     (* start the measured window once every thread passed warmup *)
-    if (not !measuring) && Array.for_all (fun t -> t.iter >= warmup) threads
-    then begin
-      measuring := true;
-      start_cycle := now + 1;
-      reset_measurement ()
+    if not !measuring then begin
+      let warm = ref true in
+      for ti = 0 to nthreads - 1 do
+        if threads.(ti).iter < warmup then warm := false
+      done;
+      if !warm then begin
+        measuring := true;
+        start_cycle := now + 1;
+        reset_measurement ()
+      end
     end;
     incr cycle;
     (* Fast-forward across dead cycles. Tier A (blocked): every thread
@@ -1087,48 +1149,51 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
        and wakeup slots, and the blocking conditions persist until one
        of those events, so skipping is exact. *)
     if not (all_done ()) then begin
-      let blocked =
-        Array.for_all
-          (fun t ->
-            t.rhead < 0
-            && (t.stall_until > !cycle || t.in_flight >= window
-                || t.q_len >= window))
-          threads
-      in
-      if blocked || not !progressed then begin
-        let horizon = ref (!cycle + calendar_size - 2) in
-        if not blocked then
-          Array.iter
-            (fun insts ->
-              Array.iter
-                (fun r ->
-                  (* an instance is free as soon as its residual drops
-                     below one full cycle ([find_free] tests < tick), so
-                     it frees after floor(r/tick) more cycles — ceiling
-                     here would overshoot fractional residuals by one
-                     cycle and skip cycles where issue was possible *)
-                  let c = !pipe_now + (r / tick) in
-                  if c >= !cycle && c < !horizon then horizon := c)
-                insts)
-            pipe_free;
-        Array.iter
-          (fun t ->
-            if t.stall_until >= !cycle && t.stall_until < !horizon then
-              horizon := t.stall_until)
-          threads;
-        let inflight_total =
-          Array.fold_left (fun acc t -> acc + t.in_flight) 0 threads
-        in
-        if inflight_total = 0 && !horizon > !cycle + calendar_size - 4 then
+      let cyc = !cycle in
+      let blocked = ref true in
+      for ti = 0 to nthreads - 1 do
+        let t = threads.(ti) in
+        if
+          t.rhead >= 0
+          || not
+               (t.stall_until > cyc || t.in_flight >= window
+               || t.q_len >= window)
+        then blocked := false
+      done;
+      if !blocked || not !progressed then begin
+        let horizon = ref (cyc + calendar_size - 2) in
+        if not !blocked then
+          for k = 0 to n_pipe_kinds - 1 do
+            let insts = pipe_free.(k) in
+            for i = 0 to Array.length insts - 1 do
+              (* an instance is free as soon as its residual drops below
+                 one full cycle ([free_slot] tests < tick), so it frees
+                 after floor(r/tick) more cycles — ceiling here would
+                 overshoot fractional residuals by one cycle and skip
+                 cycles where issue was possible *)
+              let c = !pipe_now + (insts.(i) / tick) in
+              if c >= cyc && c < !horizon then horizon := c
+            done
+          done;
+        let inflight_total = ref 0 in
+        for ti = 0 to nthreads - 1 do
+          let t = threads.(ti) in
+          if t.stall_until >= cyc && t.stall_until < !horizon then
+            horizon := t.stall_until;
+          inflight_total := !inflight_total + t.in_flight
+        done;
+        if !inflight_total = 0 && !horizon > cyc + calendar_size - 4 then
           failwith "Core_sim: deadlock (no in-flight work and no events)";
-        let slot_empty c =
-          let idx = c land (calendar_size - 1) in
-          Array.for_all
-            (fun t -> t.comp_cal.(idx) = 0 && t.rcal.(idx) < 0)
-            threads
-        in
-        while !cycle < !horizon && slot_empty !cycle do
-          incr cycle
+        (* advance while every thread's completion and wakeup slots for
+           the cycle are empty *)
+        let live = ref false in
+        while (not !live) && !cycle < !horizon do
+          let idx = !cycle land (calendar_size - 1) in
+          for ti = 0 to nthreads - 1 do
+            let t = threads.(ti) in
+            if t.comp_cal.(idx) <> 0 || t.rcal.(idx) >= 0 then live := true
+          done;
+          if not !live then incr cycle
         done
       end
     end
@@ -1162,17 +1227,11 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     level_loads;
     switch_events = !switch_events;
     transitions =
-      (* ascending (prev, next) id order: deterministic regardless of
-         the matrix stride; Power_sim re-sorts by opcode *name* before
+      (* ascending (prev, next) global id order: deterministic regardless
+         of the matrix stride; Power_sim re-sorts by opcode *name* before
          summing so the energy is also independent of how this
          machine's intern table grew *)
-      (let acc = ref [] in
-       for key = Array.length transitions - 1 downto 0 do
-         let count = transitions.(key) in
-         if count > 0 then
-           acc := (key / trans_stride, key mod trans_stride, count) :: !acc
-       done;
-       !acc);
+      transition_list transitions;
     daf;
     prefetches = Cache_sim.prefetches_issued cache;
   }

@@ -72,8 +72,9 @@ let run_rng t (config : Uarch_def.config) ~seeded name =
   Mp_util.Rng.create
     (Hashtbl.hash (seed, name, config.Uarch_def.cores, config.Uarch_def.smt))
 
-(* Build per-thread address streams honouring the SMT partition. *)
-let deploy_thread t rng (config : Uarch_def.config) tid (p : Ir.t) =
+(* Draw one thread's address streams from [rng], honouring the SMT
+   partition; returns the lookup [Core_sim.deploy] takes. *)
+let thread_streams t rng (config : Uarch_def.config) tid (p : Ir.t) =
   let mem_instrs = Ir.memory_instructions p in
   let streams_tbl = Hashtbl.create 16 in
   (match (mem_instrs, p.Ir.memory_distribution) with
@@ -102,12 +103,10 @@ let deploy_thread t rng (config : Uarch_def.config) tid (p : Ir.t) =
          Hashtbl.replace streams_tbl i.Ir.index
            streams.(k).Mp_mem.Set_assoc_model.addresses)
        targeted);
-  let streams idx =
+  fun idx ->
     match Hashtbl.find_opt streams_tbl idx with
     | Some a -> a
     | None -> failwith "Machine: no stream prepared for memory instruction"
-  in
-  Core_sim.deploy ~uarch:t.uarch ~opmap:t.opmap ~streams p
 
 let mem_demand (activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
@@ -118,19 +117,28 @@ let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
   let seeded = not (Array.for_all seed_independent_program per_thread) in
   let rng = run_rng t config ~seeded name in
   (* Programs with memory instructions draw their address streams from
-     [rng] at deploy time, and the sensor-noise rng continues from that
-     phase — so such programs always deploy, replay hit or not, and
-     their replay key carries the RNG inputs as a salt. Pure compute
-     programs consume no randomness: a replay hit skips their
-     deployment entirely and their records are shared across names,
-     seeds and core counts. *)
+     [rng], and the sensor-noise rng continues from that phase — so such
+     programs always draw their streams, replay hit or not, and their
+     replay key carries the RNG inputs as a salt. [Core_sim.deploy]
+     consumes no randomness, so only a dense run pays for it. Pure
+     compute programs consume no randomness: a replay hit skips their
+     stream draw too, and their records are shared across names, seeds
+     and core counts. *)
   let consumes_rng = Array.exists Ir.has_memory per_thread in
-  let progs =
+  let streams =
     lazy
       (Array.init config.Uarch_def.smt (fun tid ->
-           deploy_thread t rng config tid per_thread.(tid)))
+           thread_streams t rng config tid per_thread.(tid)))
   in
-  if consumes_rng then ignore (Lazy.force progs);
+  if consumes_rng then ignore (Lazy.force streams);
+  let progs =
+    lazy
+      (Array.mapi
+         (fun tid streams ->
+           Core_sim.deploy ~uarch:t.uarch ~opmap:t.opmap ~streams
+             per_thread.(tid))
+         (Lazy.force streams))
+  in
   let salt =
     if consumes_rng then
       Some

@@ -18,14 +18,22 @@ type disk = { dir : string; namespace : string }
 
 (* Fingerprint of the running build: entries are only valid for the
    binary that produced them, because any change to the simulator or
-   the energy table changes what a key's measurement should be. *)
+   the energy table changes what a key's measurement should be. Kept
+   lazy (digesting the executable is not start-up work), and forced
+   under a mutex: pool domains ask for it concurrently, and OCaml 5
+   raises [CamlinternalLazy.Undefined] when two domains force one lazy
+   value at once. *)
 let binary_stamp =
-  lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with _ -> Digest.to_hex (Digest.string Sys.executable_name))
+  let stamp =
+    lazy
+      (try Digest.to_hex (Digest.file Sys.executable_name)
+       with _ -> Digest.to_hex (Digest.string Sys.executable_name))
+  in
+  let lock = Mutex.create () in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force stamp)
 
 let namespace () =
-  Printf.sprintf "v%d-%s" schema_version (Lazy.force binary_stamp)
+  Printf.sprintf "v%d-%s" schema_version (binary_stamp ())
 
 let cache_enabled () =
   match Sys.getenv_opt "MP_CACHE" with
@@ -498,12 +506,12 @@ let key_structural ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
 
 (* MP_KEY=marshal re-enables the serialising derivation (debug escape
    hatch for bisecting cache anomalies); anything else — including
-   unset — uses the structural fold. *)
+   unset — uses the structural fold. Read once at module
+   initialisation, so concurrent key derivations never race on it. *)
 let use_marshal_key =
-  lazy
-    (match Sys.getenv_opt "MP_KEY" with
-     | Some v -> String.lowercase_ascii (String.trim v) = "marshal"
-     | None -> false)
+  match Sys.getenv_opt "MP_KEY" with
+  | Some v -> String.lowercase_ascii (String.trim v) = "marshal"
+  | None -> false
 
 (* cumulative wall time spent deriving keys, for the bench harness *)
 let key_ns = Atomic.make 0
@@ -513,7 +521,7 @@ let key_seconds () = float_of_int (Atomic.get key_ns) *. 1e-9
 let key ?uarch ?seed ~config ~warmup ~measure ~name per_thread =
   let t0 = Unix.gettimeofday () in
   let k =
-    if Lazy.force use_marshal_key then
+    if use_marshal_key then
       key_marshal ?uarch ?seed ~config ~warmup ~measure ~name per_thread
     else key_structural ?uarch ?seed ~config ~warmup ~measure ~name per_thread
   in
