@@ -165,13 +165,11 @@ let write_scaling_json ~quick ~jobs ~procpool ~netpool ~sched_skew ~stride
      nentries;
    out "    ]\n";
    out "  },\n");
-  (let skew_jobs, t_static, t_dynamic, speedup, fanned = sched_skew in
+  (let skew_jobs, t_dynamic, fanned = sched_skew in
    out "  \"sched_skew\": {\n";
    out "    \"fanned_out\": %b,\n" fanned;
    out "    \"jobs\": %d,\n" skew_jobs;
-   out "    \"static_seconds\": %.6f,\n" t_static;
-   out "    \"dynamic_seconds\": %.6f,\n" t_dynamic;
-   out "    \"dynamic_speedup\": %.6f\n" speedup;
+   out "    \"dynamic_seconds\": %.6f\n" t_dynamic;
    out "  }\n");
   out "}\n";
   close_out oc;
@@ -364,18 +362,16 @@ let netpool_curve (ctx : Context.t) machine jobs =
 (* A deliberately skewed batch: one heavy program measured under many
    configurations — placement ignores configuration, so every heavy
    job lands on the same slot — plus light programs that spread over
-   the rest of the pool. Under the static one-frame-per-slot barrier
-   the batch completes at the heavy slot's pace while its siblings
-   idle after their light shards; the dynamic scheduler drains the
-   heavy slot's chunks onto those idle siblings and must at least
-   match static (and beat it whenever the pool genuinely fans out).
-   The pool is the tentpole topology — 2 subprocess workers plus 1
-   loopback TCP worker — each restricted to a single domain so the
-   skew is carried by the scheduling layer, not washed out by
-   intra-worker parallelism; period skipping is off so the heavy jobs
-   genuinely cost what their loop size says. *)
+   the rest of the pool. The work-conserving scheduler drains the
+   heavy slot's chunks onto its idle siblings; the lap is timed and
+   checked bit-identical to in-process execution. The pool mixes both
+   transports — 2 subprocess workers plus 1 loopback TCP worker — each
+   restricted to a single domain so the skew is carried by the
+   scheduling layer, not washed out by intra-worker parallelism;
+   period skipping is off so the heavy jobs genuinely cost what their
+   loop size says. *)
 let sched_skew_curve (ctx : Context.t) =
-  Context.section "Scheduling skew — static barrier vs dynamic scheduler";
+  Context.section "Scheduling skew — work-conserving shard scheduler";
   let arch = ctx.Context.arch in
   let synth name size =
     let ins = Arch.find_instruction arch "fadd" in
@@ -414,7 +410,7 @@ let sched_skew_curve (ctx : Context.t) =
   let machine = Machine.create ~cache:false ~replay:false arch.Arch.uarch in
   (* a widened dense window makes each heavy job cost tens of
      milliseconds, so the skew dominates per-chunk framing overhead
-     and the static-vs-dynamic gap measures scheduling, not Marshal *)
+     and the lap times scheduling, not Marshal *)
   let measure = 24 in
   let reference =
     Machine.run_batch ~measure ~period:false ~procs:0 machine jobs
@@ -433,7 +429,7 @@ let sched_skew_curve (ctx : Context.t) =
   in
   let rec0 = Machine.jobs_recovered () in
   let sent0 = Mp_util.Procpool.frames_sent () + Mp_util.Netpool.frames_sent () in
-  let t_static, t_dynamic =
+  let t_dynamic =
     Fun.protect
       ~finally:(fun () ->
         Unix.putenv "MP_SPECULATE" speculate0;
@@ -449,34 +445,28 @@ let sched_skew_curve (ctx : Context.t) =
         Fun.protect
           ~finally:(fun () -> Shard_exec.shutdown_pool sp)
           (fun () ->
-            let lap sched =
+            let lap () =
               let t0 = Unix.gettimeofday () in
               let r =
                 Machine.run_batch ~measure ~period:false ~shard_pool:sp
-                  ~shard_sched:sched machine jobs
+                  machine jobs
               in
               (r, Unix.gettimeofday () -. t0)
             in
             (* prime lap: spawns/connects the workers and warms their
-               machines outside the timed windows *)
-            let prime, _ = lap Shard_exec.Static in
-            let r_static, t_static = lap Shard_exec.Static in
-            let r_dynamic, t_dynamic = lap Shard_exec.Dynamic in
-            if
-              compare reference prime <> 0
-              || compare reference r_static <> 0
-              || compare reference r_dynamic <> 0
+               machines outside the timed window *)
+            let prime, _ = lap () in
+            let r_dynamic, t_dynamic = lap () in
+            if compare reference prime <> 0 || compare reference r_dynamic <> 0
             then
               failwith
-                "sched skew: static/dynamic results diverge from in-process \
-                 execution";
-            (t_static, t_dynamic)))
+                "sched skew: sharded results diverge from in-process execution";
+            t_dynamic))
   in
   let recovered = Machine.jobs_recovered () - rec0 in
   let dispatched =
     Mp_util.Procpool.frames_sent () + Mp_util.Netpool.frames_sent () > sent0
   in
-  let speedup = t_static /. Float.max t_dynamic 1e-9 in
   (* "genuinely fanned out": frames actually crossed process
      boundaries, nothing had to be recovered, the injected skew really
      was one-sided (heavy on one slot, light work elsewhere), and the
@@ -485,37 +475,21 @@ let sched_skew_curve (ctx : Context.t) =
     dispatched && recovered = 0 && light_spread
     && Mp_util.Parallel.detected_cores () >= 2
   in
-  Context.record_metric ctx "sched_skew_static_seconds" t_static;
   Context.record_metric ctx "sched_skew_dynamic_seconds" t_dynamic;
-  Context.record_metric ctx "sched_skew_speedup" speedup;
   Context.record_metric ctx "sched_skew_fanned_out" (if fanned then 1. else 0.);
   Context.record_metric ctx "sched_skew_jobs_recovered_delta"
     (float_of_int recovered);
   Context.log
-    "static %.2fs, dynamic %.2fs -> %.2fx; %d jobs recovered;\n\
+    "sharded %.2fs; %d jobs recovered;\n\
      all laps bit-identical to in-process execution"
-    t_static t_dynamic speedup recovered;
-  (* CI gate: on a pool that genuinely fanned out over an injected
-     one-sided skew, the work-conserving scheduler must not lose to
-     the barrier it replaces — below parity the chunking, stealing or
-     requeue path has regressed. When the dispatch never fanned out
-     (1-core container, adaptive serial fallback), a worker had to be
-     recovered mid-lap, or the skew collapsed onto one slot,
-     wall-clock comparisons say nothing about the scheduler, so the
-     gate stands down. *)
-  if fanned && speedup < 1.0 then
-    failwith
-      (Printf.sprintf
-         "sched skew: dynamic only %.2fx vs static barrier (floor 1.0x, \
-          fanned out)"
-         speedup);
+    t_dynamic recovered;
   if not fanned then
-    Context.log "speedup gate skipped (%s)"
+    Context.log "not fanned out (%s)"
       (if not dispatched then "dispatch stayed in-process"
        else if recovered > 0 then "jobs were recovered mid-lap"
        else if not light_spread then "skew collapsed onto one slot"
        else "single detected core");
-  (List.length jobs, t_static, t_dynamic, speedup, fanned)
+  (List.length jobs, t_dynamic, fanned)
 
 let scaling_curve (ctx : Context.t) =
   Context.section "Worker scaling curve — one batch, pools of 1/2/4/8";

@@ -194,8 +194,8 @@ let () =
       (float_of_int (Mp_util.Parallel.serial_fallbacks ctx.Context.pool));
     Context.record_metric ctx "pool_min_jobs_per_core"
       (Mp_util.Parallel.env_min_jobs_per_core ());
-    (* cumulative time deriving cache keys: with structural hashing
-       this should stay in the noise; MP_KEY=marshal makes it visible *)
+    (* cumulative time deriving cache keys: the structural fold keeps
+       this in the noise *)
     Context.record_metric ctx "key_digest_seconds"
       (Microprobe.Measurement_cache.key_seconds ());
     (* process-level sharding telemetry: the MP_PROCS knob as resolved,
@@ -226,9 +226,9 @@ let () =
       (float_of_int (Mp_util.Netpool.reconnect_count ()));
     Context.record_metric ctx "hosts_effective"
       (float_of_int (Microprobe.Shard_exec.global_remote_size ()));
-    (* dynamic shard scheduling: duplicate chunk copies dispatched to
-       idle slots, and completions discarded because a sibling's copy
-       won (both zero under MP_SHARD_SCHED=static or MP_SPECULATE=off) *)
+    (* shard scheduling: duplicate chunk copies dispatched to idle
+       slots, and completions discarded because a sibling's copy won
+       (both zero under MP_SPECULATE=off) *)
     Context.record_metric ctx "chunks_speculated"
       (float_of_int (Microprobe.Shard_exec.chunks_speculated ()));
     Context.record_metric ctx "chunks_cancelled"
@@ -240,7 +240,7 @@ let () =
        | Some d -> d.Microprobe.Measurement_cache.dir
        | None -> "_mp_cache"
      in
-     let rdir = Filename.concat dir "replay" in
+     let rdir = Microprobe.Measurement_cache.replay_dir dir in
      Context.record_metric ctx "replay_store_shards"
        (if Sys.file_exists rdir then
           float_of_int

@@ -414,7 +414,7 @@ let cache_stat dir json =
       s.Measurement_cache.ds_shards,
       s.Measurement_cache.ds_bytes )
   in
-  let rdir = Filename.concat dir "replay" in
+  let rdir = Measurement_cache.replay_dir dir in
   if json then begin
     let store d =
       if not (Sys.file_exists d) then "null"

@@ -53,8 +53,6 @@ let fit_sequential samples =
     (fun j ->
       (* dominated-by-j: feature j explains most of the not-yet-modelled
          activity (components after j in the order) *)
-      let explained = List.filteri (fun i _ -> i < j) order in
-      ignore explained;
       let selected =
         List.filter_map
           (fun (x, y) ->

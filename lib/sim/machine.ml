@@ -112,8 +112,8 @@ let mem_demand (activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
   float_of_int activity.Core_sim.level_loads.(3) /. cycles
 
-let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
-    (config : Uarch_def.config) name (per_thread : Ir.t array) =
+let simulate ~warmup ~measure ?period t (config : Uarch_def.config) name
+    (per_thread : Ir.t array) =
   let seeded = not (Array.for_all seed_independent_program per_thread) in
   let rng = run_rng t config ~seeded name in
   (* Programs with memory instructions draw their address streams from
@@ -193,10 +193,6 @@ let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
   in
   (rng, activity)
 
-let simulate ?warmup ?measure ?period t (config : Uarch_def.config) (p : Ir.t) =
-  simulate_many ?warmup ?measure ?period t config p.Ir.name
-    (Array.make config.Uarch_def.smt p)
-
 let measurement_of t config name rng (activity : Core_sim.activity) =
   let reading =
     Power_sim.sample ~table:t.table ~rng ~config ~opmap:t.opmap ~activity ()
@@ -215,53 +211,68 @@ let measurement_of t config name rng (activity : Core_sim.activity) =
     power_trace = reading.Power_sim.trace;
   }
 
-let cached t ~warmup ~measure config name per_thread compute =
+(* ----- jobs --------------------------------------------------------------- *)
+
+(* A job is a configuration plus its programs: one program is a
+   homogeneous deployment replicated over the SMT threads, [smt]
+   programs a heterogeneous one. The run label joins the program
+   names, so a one-program job is named — and keyed — exactly like a
+   one-thread heterogeneous job of the same program. *)
+let job_name programs =
+  String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) programs)
+
+(* Seed-independent jobs drop the seed from the key — their bytes are
+   the same on any machine, so warm disk entries are shared across
+   seeds. [period] is deliberately absent: skipped and dense runs are
+   bit-identical, so their entries are interchangeable by
+   construction. *)
+let job_key t ~warmup ~measure (config, programs) =
+  let per_thread = Array.of_list programs in
+  let seed =
+    if Array.for_all seed_independent_program per_thread then None
+    else Some t.seed
+  in
+  Measurement_cache.key ~uarch:t.uarch_fp ?seed ~config ~warmup ~measure
+    ~name:(job_name programs) per_thread
+
+(* Measure one keyed job, memoized in the machine's cache. *)
+let run_job ~warmup ~measure ?period t
+    (key, ((config : Uarch_def.config), programs)) =
+  let compute () =
+    let name = job_name programs in
+    let per_thread =
+      match programs with
+      | [ p ] -> Array.make config.Uarch_def.smt p
+      | ps -> Array.of_list ps
+    in
+    let rng, activity =
+      simulate ~warmup ~measure ?period t config name per_thread
+    in
+    measurement_of t config name rng activity
+  in
   match t.cache with
   | None -> compute ()
-  | Some cache ->
-    (* seed-independent jobs drop the seed from the key — their bytes
-       are the same on any machine, so warm disk entries are shared
-       across seeds *)
-    let seed =
-      if Array.for_all seed_independent_program per_thread then None
-      else Some t.seed
-    in
-    let key =
-      Measurement_cache.key ~uarch:t.uarch_fp ?seed ~config ~warmup
-        ~measure ~name per_thread
-    in
-    Measurement_cache.find_or_add cache key compute
+  | Some cache -> Measurement_cache.find_or_add cache key compute
 
-(* [period] is deliberately absent from the cache key: skipped and
-   dense runs are bit-identical, so their cache entries are
-   interchangeable by construction. *)
 let run ?(warmup = 1) ?(measure = default_measure) ?period t config (p : Ir.t) =
   pre_intern t p;
-  cached t ~warmup ~measure config p.Ir.name [| p |] (fun () ->
-      let rng, activity = simulate ~warmup ~measure ?period t config p in
-      measurement_of t config p.Ir.name rng activity)
+  let job = (config, [ p ]) in
+  run_job ~warmup ~measure ?period t (job_key t ~warmup ~measure job, job)
+
+let check_arity fn (config : Uarch_def.config) programs =
+  if List.length programs <> config.Uarch_def.smt then
+    invalid_arg (fn ^ ": one program per hardware thread required")
 
 let run_heterogeneous ?(warmup = 1) ?(measure = default_measure) ?period t
-    (config : Uarch_def.config) programs =
-  let n = List.length programs in
-  if n <> config.Uarch_def.smt then
-    invalid_arg
-      "Machine.run_heterogeneous: one program per hardware thread required";
+    config programs =
+  check_arity "Machine.run_heterogeneous" config programs;
   List.iter (pre_intern t) programs;
-  let per_thread = Array.of_list programs in
-  let name =
-    String.concat "|"
-      (List.map (fun (p : Ir.t) -> p.Ir.name) programs)
-  in
-  cached t ~warmup ~measure config name per_thread (fun () ->
-      let rng, activity =
-        simulate_many ~warmup ~measure ?period t config name per_thread
-      in
-      measurement_of t config name rng activity)
+  let job = (config, programs) in
+  run_job ~warmup ~measure ?period t (job_key t ~warmup ~measure job, job)
 
 (* Scheduling cost hint: simulated work scales with enabled threads and
    loop size. Purely a hint — results are order-preserved regardless. *)
-let job_cost (config : Uarch_def.config) (ps : Ir.t list) =
+let job_cost (_, ((config : Uarch_def.config), ps)) =
   let body =
     List.fold_left (fun acc (p : Ir.t) -> acc + Array.length p.Ir.body) 0 ps
   in
@@ -281,42 +292,15 @@ let jobs_recovered_total = Atomic.make 0
 
 let jobs_recovered () = Atomic.get jobs_recovered_total
 
-(* Worker-computed results warm this machine's cache under the same key
-   [cached] derives, so later runs and batches hit without resimulating
-   what another process already measured. *)
-let cache_insert t ~warmup ~measure config name per_thread m =
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-    let seed =
-      if Array.for_all seed_independent_program per_thread then None
-      else Some t.seed
-    in
-    let key =
-      Measurement_cache.key ~uarch:t.uarch_fp ?seed ~config ~warmup ~measure
-        ~name per_thread
-    in
-    Measurement_cache.add cache key m
-
-(* Chunk sizing for the dynamic shard scheduler, from what Machine
-   knows at dispatch time: the deduplicated job count, the slot count,
-   and the pipeline depth knob. Delegates to the scheduler's own
-   heuristic so callers, tests and the bench harness all agree on the
-   granularity. *)
-let shard_chunk_jobs ~jobs ~slots =
-  Shard_exec.default_chunk_jobs ~jobs ~slots
-    ~inflight:(Shard_exec.env_inflight ())
-
-(* Dispatch already-deduplicated jobs to the worker pool. Under the
-   dynamic scheduler a crashed slot's chunks re-enter the shared queue
-   and finish on surviving slots, so positions come back [None] only
-   when no worker could run them; those are re-run through
-   [in_process] — the coordinator's own domain pool — and
-   [jobs_recovered] counts them. A dying worker degrades to a slower
-   batch, never a failed or wrong one. *)
-let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
-    ~shard_pool ~to_job ~insert ~in_process jobs =
-  let sjobs = List.map to_job jobs in
+(* Dispatch already-deduplicated keyed jobs to the worker pool. A
+   crashed slot's chunks re-enter the shared queue and finish on
+   surviving slots, so positions come back [None] only when no worker
+   could run them; those are re-run through [in_process] — the
+   coordinator's own domain pool — and [jobs_recovered] counts them. A
+   dying worker degrades to a slower batch, never a failed or wrong
+   one. *)
+let sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
+    ~in_process jobs =
   let slots =
     match shard_pool with
     | Some sp -> Shard_exec.pool_size sp
@@ -324,9 +308,7 @@ let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
   in
   let fan_out =
     let width =
-      Mp_util.Parallel.effective_width
-        (Some (fun (j : Shard_exec.job) -> j.Shard_exec.j_cost))
-        (Array.of_list sjobs)
+      Mp_util.Parallel.effective_width (Some job_cost) (Array.of_list jobs)
     in
     (* the adaptive decision reuses the domain pool's predicate, with
        the size floored at 2: a single worker still carries dispatch
@@ -348,11 +330,10 @@ let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
   | Some p ->
     let res =
       Shard_exec.run_jobs p ~spec:(spec t) ~warmup ~measure ?period
-        ?sched:shard_sched
-        ~chunk_jobs:
-          (shard_chunk_jobs ~jobs:(List.length sjobs)
-             ~slots:(Shard_exec.pool_size p))
-        sjobs
+        (List.map
+           (fun (_, (config, ps)) ->
+             { Shard_exec.j_config = config; j_programs = ps })
+           jobs)
     in
     let jobs_arr = Array.of_list jobs in
     let from_worker = Array.map Option.is_some res in
@@ -364,9 +345,17 @@ let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
       let recovered = in_process (List.map (fun i -> jobs_arr.(i)) missing) in
       List.iter2 (fun i m -> res.(i) <- Some m) missing recovered
     end;
-    Array.iteri
-      (fun i fw -> if fw then insert jobs_arr.(i) (Option.get res.(i)))
-      from_worker;
+    (* worker-computed results warm this machine's cache under the
+       job's key, so later runs and batches hit without resimulating
+       what another process already measured *)
+    Option.iter
+      (fun cache ->
+        Array.iteri
+          (fun i fw ->
+            if fw then
+              Measurement_cache.add cache (fst jobs_arr.(i)) (Option.get res.(i)))
+          from_worker)
+      t.cache;
     Array.to_list (Array.map Option.get res)
 
 (* ----- duplicate collapsing ---------------------------------------------- *)
@@ -383,28 +372,16 @@ let batch_dups = Atomic.make 0
 
 let batch_dup_collapsed () = Atomic.get batch_dups
 
-(* grouping key: same derivation as [cached] (period excluded — skipped
-   and dense runs are interchangeable), always the structural fold
-   since the string never leaves this process *)
-let batch_key t ~warmup ~measure config name per_thread =
-  let seed =
-    if Array.for_all seed_independent_program per_thread then None
-    else Some t.seed
-  in
-  Measurement_cache.key_structural ~uarch:t.uarch_fp ?seed ~config ~warmup
-    ~measure ~name per_thread
-
 (* Evaluate each distinct key once (first occurrence order, so worker
    scheduling and opcode interning see the same sequence a deduped
    caller would submit) and scatter results back positionally. *)
-let dedup_map job_key exec jobs =
+let dedup_map exec keyed =
   let slot_of = Hashtbl.create 64 in
   let uniques = ref [] in
   let n_unique = ref 0 in
   let slots =
     List.map
-      (fun job ->
-        let k = job_key job in
+      (fun ((k, _) as job) ->
         match Hashtbl.find_opt slot_of k with
         | Some slot ->
           Atomic.incr batch_dups;
@@ -415,14 +392,14 @@ let dedup_map job_key exec jobs =
           incr n_unique;
           uniques := job :: !uniques;
           slot)
-      jobs
+      keyed
   in
   let results = Array.of_list (exec (List.rev !uniques)) in
   List.map (fun slot -> results.(slot)) slots
 
-(* procs resolution shared by both batch entry points: explicit arg
-   wins; a caller-supplied pool implies its own size; otherwise the
-   MP_PROCS knob decides (0 = in-process, unchanged behavior). *)
+(* procs resolution: explicit arg wins; a caller-supplied pool implies
+   its own size; otherwise the MP_PROCS knob decides (0 = in-process,
+   unchanged behavior). *)
 let resolve_procs procs shard_pool =
   match (procs, shard_pool) with
   | Some n, _ -> max 0 n
@@ -438,87 +415,50 @@ let resolve_hosts hosts shard_pool =
   | None, Some _ -> []
   | None, None -> Shard_exec.env_hosts ()
 
-let run_batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
-    ?hosts ?shard_pool ?shard_sched ?(dedup = true) t jobs =
+(* The one batch path under [run_batch], [run_heterogeneous_batch] and
+   the worker's [exec_request]: every job is keyed once, and the key
+   serves dedup, the cache lookup and the cache fill after a shard. *)
+let batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
+    ?hosts ?shard_pool ?(dedup = true) t jobs =
   (* deterministic id assignment: intern everything in job order —
      duplicates included — before any worker touches the opmap *)
-  List.iter (fun (_, p) -> pre_intern t p) jobs;
-  let pool =
-    match pool with Some p -> p | None -> Mp_util.Parallel.global ()
-  in
-  let procs = resolve_procs procs shard_pool in
-  let hosts = resolve_hosts hosts shard_pool in
-  let in_process jobs =
-    (* chunked: replay and cache hits make individual jobs tiny, and
-       chunking amortises deque traffic over them; auto_chunk leaves
-       ~8 chunks per worker so stealing can still rebalance tails *)
-    Mp_util.Parallel.map_chunked
-      ~cost:(fun (config, p) -> job_cost config [ p ])
-      pool
-      (fun (config, p) -> run ~warmup ~measure ?period t config p)
-      jobs
-  in
-  let exec jobs =
-    if procs <= 0 && hosts = [] then in_process jobs
-    else
-      sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
-        ~shard_pool
-        ~to_job:(fun (config, p) ->
-          {
-            Shard_exec.j_config = config;
-            j_programs = [ p ];
-            j_cost = job_cost config [ p ];
-          })
-        ~insert:(fun (config, (p : Ir.t)) m ->
-          cache_insert t ~warmup ~measure config p.Ir.name [| p |] m)
-        ~in_process jobs
-  in
-  if dedup then
-    dedup_map
-      (fun (config, (p : Ir.t)) ->
-        batch_key t ~warmup ~measure config p.Ir.name [| p |])
-      exec jobs
-  else exec jobs
-
-let run_heterogeneous_batch ?(warmup = 1) ?(measure = default_measure) ?period
-    ?pool ?procs ?hosts ?shard_pool ?shard_sched ?(dedup = true) t jobs =
   List.iter (fun (_, ps) -> List.iter (pre_intern t) ps) jobs;
   let pool =
     match pool with Some p -> p | None -> Mp_util.Parallel.global ()
   in
   let procs = resolve_procs procs shard_pool in
   let hosts = resolve_hosts hosts shard_pool in
-  let in_process jobs =
-    Mp_util.Parallel.map_chunked
-      ~cost:(fun (config, ps) -> job_cost config ps)
-      pool
-      (fun (config, ps) ->
-        run_heterogeneous ~warmup ~measure ?period t config ps)
-      jobs
+  let in_process keyed =
+    (* chunked: replay and cache hits make individual jobs tiny, and
+       chunking amortises deque traffic over them; auto_chunk leaves
+       ~8 chunks per worker so stealing can still rebalance tails *)
+    Mp_util.Parallel.map_chunked ~cost:job_cost pool
+      (run_job ~warmup ~measure ?period t)
+      keyed
   in
-  let exec jobs =
-    if procs <= 0 && hosts = [] then in_process jobs
+  let exec keyed =
+    if procs <= 0 && hosts = [] then in_process keyed
     else
-      sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
-        ~shard_pool
-        ~to_job:(fun (config, ps) ->
-          { Shard_exec.j_config = config; j_programs = ps; j_cost = job_cost config ps })
-        ~insert:(fun (config, ps) m ->
-          let name =
-            String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) ps)
-          in
-          cache_insert t ~warmup ~measure config name (Array.of_list ps) m)
-        ~in_process jobs
+      sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
+        ~in_process keyed
   in
-  if dedup then
-    dedup_map
-      (fun (config, ps) ->
-        let name =
-          String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) ps)
-        in
-        batch_key t ~warmup ~measure config name (Array.of_list ps))
-      exec jobs
-  else exec jobs
+  let keyed = List.map (fun job -> (job_key t ~warmup ~measure job, job)) jobs in
+  if dedup then dedup_map exec keyed else exec keyed
+
+let run_batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup
+    t jobs =
+  batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup t
+    (List.map (fun (config, p) -> (config, [ p ])) jobs)
+
+let run_heterogeneous_batch ?warmup ?measure ?period ?pool ?procs ?hosts
+    ?shard_pool ?dedup t jobs =
+  (* every job up front, before dedup or dispatch: a worker would run
+     a one-program job as a replicated deployment instead of
+     rejecting it *)
+  List.iter
+    (fun (config, ps) -> check_arity "Machine.run_heterogeneous_batch" config ps)
+    jobs;
+  batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup t jobs
 
 let run_phases ?pool t config phases =
   match phases with
@@ -622,30 +562,22 @@ let machine_for_spec (s : Shard_exec.machine_spec) =
     Hashtbl.add worker_machines k m;
     m
 
-(* Execute a coordinator's request inside a worker process: same
-   pre-intern discipline and chunked domain-pool fan-out as
-   [run_batch], so a shard computes exactly what the coordinator
-   would. *)
+(* Execute a coordinator's request inside a worker process through the
+   same in-process batch path, so a shard computes exactly what the
+   coordinator would. The coordinator already deduplicated the jobs
+   and checked their arity. *)
 let exec_request (rq : Shard_exec.request) =
-  let t = machine_for_spec rq.Shard_exec.rq_spec in
-  let jobs = Array.to_list rq.Shard_exec.rq_jobs in
-  List.iter
-    (fun (j : Shard_exec.job) -> List.iter (pre_intern t) j.Shard_exec.j_programs)
-    jobs;
-  let warmup = rq.Shard_exec.rq_warmup in
-  let measure = rq.Shard_exec.rq_measure in
-  let period = rq.Shard_exec.rq_period in
-  let results =
-    Mp_util.Parallel.map_chunked
-      ~cost:(fun (j : Shard_exec.job) -> j.Shard_exec.j_cost)
-      (Mp_util.Parallel.global ())
-      (fun (j : Shard_exec.job) ->
-        match j.Shard_exec.j_programs with
-        | [ p ] -> run ~warmup ~measure ?period t j.Shard_exec.j_config p
-        | ps -> run_heterogeneous ~warmup ~measure ?period t j.Shard_exec.j_config ps)
-      jobs
+  let jobs =
+    Array.to_list
+      (Array.map
+         (fun (j : Shard_exec.job) -> (j.Shard_exec.j_config, j.Shard_exec.j_programs))
+         rq.Shard_exec.rq_jobs)
   in
-  Array.of_list results
+  Array.of_list
+    (batch ~warmup:rq.Shard_exec.rq_warmup ~measure:rq.Shard_exec.rq_measure
+       ?period:rq.Shard_exec.rq_period ~procs:0 ~hosts:[] ~dedup:false
+       (machine_for_spec rq.Shard_exec.rq_spec)
+       jobs)
 
 (* Every executable linking the simulator can be its own shard worker:
    the executor is injected (breaking the Machine <-> Shard_exec

@@ -69,7 +69,7 @@ val run :
 val run_batch :
   ?warmup:int -> ?measure:int -> ?period:bool -> ?pool:Mp_util.Parallel.t ->
   ?procs:int -> ?hosts:(string * int) list -> ?shard_pool:Shard_exec.pool ->
-  ?shard_sched:Shard_exec.sched -> ?dedup:bool ->
+  ?dedup:bool ->
   t -> (Mp_uarch.Uarch_def.config * Mp_codegen.Ir.t) list ->
   Measurement.t list
 (** Measure a list of (configuration, program) jobs, fanned across
@@ -105,10 +105,8 @@ val run_batch :
     like a lost subprocess. [shard_pool] supplies an explicit pool (the
     bench harness builds per-combination pools) and then carries its
     own peers; otherwise the shared process-wide pool of [procs]
-    workers plus [hosts] peers serves. [shard_sched] picks the dispatch
-    discipline (default: the [MP_SHARD_SCHED] knob — dynamic
-    work-conserving chunked dispatch unless overridden to [Static]);
-    either way results stay bit-identical, see {!Shard_exec.run_jobs}. *)
+    workers plus [hosts] peers serves. Dispatch is work-conserving and
+    results stay bit-identical, see {!Shard_exec.run_jobs}. *)
 
 val run_heterogeneous :
   ?warmup:int -> ?measure:int -> ?period:bool ->
@@ -122,22 +120,18 @@ val run_heterogeneous :
 val run_heterogeneous_batch :
   ?warmup:int -> ?measure:int -> ?period:bool -> ?pool:Mp_util.Parallel.t ->
   ?procs:int -> ?hosts:(string * int) list -> ?shard_pool:Shard_exec.pool ->
-  ?shard_sched:Shard_exec.sched -> ?dedup:bool ->
+  ?dedup:bool ->
   t -> (Mp_uarch.Uarch_def.config * Mp_codegen.Ir.t list) list ->
   Measurement.t list
 (** {!run_heterogeneous} over a whole candidate population as one
-    fan-out across [pool], under the same determinism contract (and
-    the same [dedup] duplicate collapsing, [procs]/[hosts]/[shard_pool]
-    process sharding) as {!run_batch}: results in job order,
-    bit-identical to the serial loop (all per-thread programs are
-    pre-interned in job order before any worker runs). *)
-
-val shard_chunk_jobs : jobs:int -> slots:int -> int
-(** Jobs per chunk for the dynamic shard scheduler, from the
-    deduplicated batch size and the pool's slot count (the [MP_INFLIGHT]
-    pipeline depth is read from the environment):
-    {!Shard_exec.default_chunk_jobs}. Exposed so tests and the bench
-    harness can predict the chunking a batch will use. *)
+    fan-out across [pool], through the same batch path as {!run_batch}
+    — same determinism contract, [dedup] duplicate collapsing and
+    [procs]/[hosts]/[shard_pool] process sharding: results in job
+    order, bit-identical to the serial loop (all per-thread programs
+    are pre-interned in job order before any worker runs). Every job's
+    program count is checked against its SMT mode before anything
+    runs; one mismatch raises [Invalid_argument], in-process or
+    sharded alike. *)
 
 val batch_dup_collapsed : unit -> int
 (** Process-wide count of batch positions served by collapsing onto a

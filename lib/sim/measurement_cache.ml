@@ -54,19 +54,18 @@ let env_disk () =
 
 (* Entries shard into subdirectories named by the first two hex digits
    of the key, so a very large cache never accumulates one enormous
-   flat directory (readdir/gc stay fast). The flat layout earlier
-   versions wrote is still read — and migrated into its shard — by
-   [disk_read]. *)
+   flat directory (readdir/gc stay fast). *)
 let shard_of key = if String.length key >= 2 then String.sub key 0 2 else "00"
-
-let entry_name disk key = disk.namespace ^ "-" ^ key
 
 let shard_dir disk key = Filename.concat disk.dir (shard_of key)
 
-let entry_path disk key = Filename.concat (shard_dir disk key) (entry_name disk key)
+let entry_path disk key =
+  Filename.concat (shard_dir disk key) (disk.namespace ^ "-" ^ key)
 
-(* where the pre-shard flat layout would have put this entry *)
-let legacy_path disk key = Filename.concat disk.dir (entry_name disk key)
+(* Replay records live in this subdirectory of the cache root, written
+   through the same entry functions, so the walker below prunes, bounds
+   and counts both stores. *)
+let replay_dir root = Filename.concat root "replay"
 
 let is_dir path = match Sys.is_directory path with d -> d | exception _ -> false
 
@@ -77,26 +76,42 @@ let is_shard_name f =
        (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
        f
 
+(* a store's entry directories: its root and every shard under it *)
+let store_dirs root =
+  root
+  ::
+  (match Sys.readdir root with
+   | exception _ -> []
+   | fs ->
+     Array.to_list fs
+     |> List.filter_map (fun f ->
+            let sub = Filename.concat root f in
+            if is_shard_name f && is_dir sub then Some sub else None))
+
+(* The one walker behind prune, gc and disk_stats: every regular file
+   in [dirs], as (name, path, stat). *)
+let files_in dirs =
+  List.concat_map
+    (fun d ->
+      match Sys.readdir d with
+      | exception _ -> []
+      | fs ->
+        Array.to_list fs
+        |> List.filter_map (fun f ->
+               let path = Filename.concat d f in
+               match Unix.stat path with
+               | exception _ -> None
+               | st when st.Unix.st_kind = Unix.S_REG -> Some (f, path, st)
+               | _ -> None))
+    dirs
+
+(* both stores under a cache root: measurements and replay records *)
+let cache_dirs root = store_dirs root @ store_dirs (replay_dir root)
+
 (* Drop entries left behind by other builds — at most once per
    directory per process, best-effort. *)
 let pruned_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
 let pruned_lock = Mutex.create ()
-
-let prune_dir_files dir namespace =
-  match Sys.readdir dir with
-  | exception _ -> ()
-  | fs ->
-    Array.iter
-      (fun f ->
-        let path = Filename.concat dir f in
-        if not (is_dir path) then begin
-          let keep =
-            String.length f > String.length namespace
-            && String.sub f 0 (String.length namespace) = namespace
-          in
-          if not keep then try Sys.remove path with _ -> ()
-        end)
-      fs
 
 let prune_stale disk =
   Mutex.lock pruned_lock;
@@ -104,17 +119,15 @@ let prune_stale disk =
   if fresh then Hashtbl.add pruned_dirs disk.dir ();
   Mutex.unlock pruned_lock;
   if fresh then begin
-    (* flat legacy entries in the root, then every shard *)
-    prune_dir_files disk.dir disk.namespace;
-    match Sys.readdir disk.dir with
-    | exception _ -> ()
-    | fs ->
-      Array.iter
-        (fun f ->
-          let sub = Filename.concat disk.dir f in
-          if is_shard_name f && is_dir sub then
-            prune_dir_files sub disk.namespace)
-        fs
+    let ns = disk.namespace in
+    List.iter
+      (fun (f, path, _) ->
+        let keep =
+          String.length f > String.length ns
+          && String.sub f 0 (String.length ns) = ns
+        in
+        if not keep then try Sys.remove path with _ -> ())
+      (files_in (cache_dirs disk.dir))
   end
 
 (* ----- housekeeping ------------------------------------------------------ *)
@@ -125,7 +138,7 @@ let prune_stale disk =
    cheap LRU proxy: [find] never touches mtime, so "oldest" means
    "written longest ago", which across builds and long campaigns is the
    entry least likely to be asked for again). In-flight writes —
-   [.tmp.*] files, which [disk_write] renames into place when complete
+   [.tmp.*] files, which [write_entry] renames into place when complete
    — are never touched. *)
 
 type gc_stats = {
@@ -151,44 +164,22 @@ let gc ?max_bytes dir =
     | Some b -> max 0 b
     | None -> (match env_max_bytes () with Some b -> b | None -> max_int)
   in
-  let files =
-    match Sys.readdir dir with exception _ -> [||] | fs -> fs
-  in
-  (* entry files in [d], named relative to the cache root for the
-     deterministic tie-break *)
-  let scan d rel =
-    match Sys.readdir d with
-    | exception _ -> []
-    | fs ->
-      Array.to_list fs
-      |> List.filter_map (fun f ->
-             if is_tmp f then None
-             else
-               let path = Filename.concat d f in
-               let rel = if rel = "" then f else Filename.concat rel f in
-               match Unix.stat path with
-               | exception _ -> None
-               | st when st.Unix.st_kind = Unix.S_REG ->
-                 Some (st.Unix.st_mtime, rel, path, st.Unix.st_size)
-               | _ -> None)
-  in
+  (* oldest first; the path breaks mtime ties so eviction is
+     deterministic *)
   let entries =
-    scan dir ""
-    @ (Array.to_list files
-      |> List.concat_map (fun f ->
-             if is_shard_name f && is_dir (Filename.concat dir f) then
-               scan (Filename.concat dir f) f
-             else []))
+    files_in (cache_dirs dir)
+    |> List.filter_map (fun (f, path, st) ->
+           if is_tmp f then None
+           else Some (st.Unix.st_mtime, path, st.Unix.st_size))
+    |> List.sort compare
   in
-  (* oldest first; name breaks mtime ties so eviction is deterministic *)
-  let entries = List.sort compare entries in
   let bytes_before =
-    List.fold_left (fun acc (_, _, _, sz) -> acc + sz) 0 entries
+    List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 entries
   in
   let total = ref bytes_before in
   let removed = ref 0 in
   List.iter
-    (fun (_, _, path, sz) ->
+    (fun (_, path, sz) ->
       if !total > max_bytes then
         match Sys.remove path with
         | () ->
@@ -204,40 +195,21 @@ let gc ?max_bytes dir =
   }
 
 (* Read-only counterpart to [gc]'s scan, for the `mp-cache stat` CLI:
-   how many shard subdirectories, entry files and bytes a directory
+   how many shard subdirectories, entry files and bytes one store
    holds. In-flight [.tmp.*] files are excluded, like everywhere
    else. *)
 type disk_stats = { ds_shards : int; ds_entries : int; ds_bytes : int }
 
 let disk_stats dir =
-  let count d (entries, bytes) =
-    match Sys.readdir d with
-    | exception _ -> (entries, bytes)
-    | fs ->
-      Array.fold_left
-        (fun (entries, bytes) f ->
-          if is_tmp f then (entries, bytes)
-          else
-            match Unix.stat (Filename.concat d f) with
-            | exception _ -> (entries, bytes)
-            | st when st.Unix.st_kind = Unix.S_REG ->
-              (entries + 1, bytes + st.Unix.st_size)
-            | _ -> (entries, bytes))
-        (entries, bytes) fs
+  let dirs = store_dirs dir in
+  let entries, bytes =
+    List.fold_left
+      (fun (entries, bytes) (f, _, st) ->
+        if is_tmp f then (entries, bytes)
+        else (entries + 1, bytes + st.Unix.st_size))
+      (0, 0) (files_in dirs)
   in
-  let acc = count dir (0, 0) in
-  let shards, (entries, bytes) =
-    match Sys.readdir dir with
-    | exception _ -> (0, acc)
-    | fs ->
-      Array.fold_left
-        (fun (shards, acc) f ->
-          let sub = Filename.concat dir f in
-          if is_shard_name f && is_dir sub then (shards + 1, count sub acc)
-          else (shards, acc))
-        (0, acc) fs
-  in
-  { ds_shards = shards; ds_entries = entries; ds_bytes = bytes }
+  { ds_shards = List.length dirs - 1; ds_entries = entries; ds_bytes = bytes }
 
 (* Enforce the MP_CACHE_MAX_MB bound automatically — at most once per
    directory per process, like [prune_stale], so repeated
@@ -254,7 +226,13 @@ let gc_auto disk =
     Mutex.unlock pruned_lock;
     if fresh then ignore (gc ~max_bytes:b disk.dir)
 
-let ensure_dir dir = try Unix.mkdir dir 0o755 with _ -> ()
+(* ----- entries ----------------------------------------------------------- *)
+
+let rec ensure_dir dir =
+  if not (is_dir dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with _ -> ()
+  end
 
 let tmp_counter = Atomic.make 0
 
@@ -262,9 +240,8 @@ let tmp_counter = Atomic.make 0
    concurrent writers of the same key are both writing identical bytes.
    The temp lives in the shard directory so the rename stays atomic
    within one directory. *)
-let disk_write disk key (m : Measurement.t) =
+let write_entry disk key v =
   try
-    ensure_dir disk.dir;
     let shard = shard_dir disk key in
     ensure_dir shard;
     let tmp =
@@ -273,43 +250,28 @@ let disk_write disk key (m : Measurement.t) =
            (Atomic.fetch_and_add tmp_counter 1))
     in
     let oc = open_out_bin tmp in
-    Marshal.to_channel oc (schema_version, key, m) [];
-    close_out oc;
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        Marshal.to_channel oc (schema_version, key, v) [];
+        close_out oc);
     Sys.rename tmp (entry_path disk key)
   with _ -> ()
 
 (* any failure — missing file, truncation, corruption, wrong version —
    is a miss, never an error *)
-let read_entry key path : Measurement.t option =
-  match open_in_bin path with
+let read_entry disk key =
+  match open_in_bin (entry_path disk key) with
   | exception _ -> None
   | ic ->
     let r =
       try
-        let (v : int), (k : string), (m : Measurement.t) =
-          Marshal.from_channel ic
-        in
-        if v = schema_version && k = key then Some m else None
+        let (v : int), (k : string), payload = Marshal.from_channel ic in
+        if v = schema_version && k = key then Some payload else None
       with _ -> None
     in
     close_in_noerr ic;
     r
-
-let disk_read disk key : Measurement.t option =
-  match read_entry key (entry_path disk key) with
-  | Some m -> Some m
-  | None ->
-    (* flat legacy layout: serve the entry and migrate it into its
-       shard, best-effort (a racing migrator renames identical bytes,
-       so either rename winning is fine) *)
-    (match read_entry key (legacy_path disk key) with
-     | None -> None
-     | Some m ->
-       (try
-          ensure_dir (shard_dir disk key);
-          Sys.rename (legacy_path disk key) (entry_path disk key)
-        with _ -> ());
-       Some m)
 
 (* ----- the cache --------------------------------------------------------- *)
 
@@ -376,68 +338,6 @@ let length t =
 
 (* ----- fingerprinting --------------------------------------------------- *)
 
-let level_tag = function
-  | Cache_geometry.L1 -> '1'
-  | Cache_geometry.L2 -> '2'
-  | Cache_geometry.L3 -> '3'
-  | Cache_geometry.MEM -> 'M'
-
-let add_int buf n =
-  Buffer.add_string buf (string_of_int n);
-  Buffer.add_char buf ';'
-
-let add_int64 buf n =
-  Buffer.add_string buf (Int64.to_string n);
-  Buffer.add_char buf ';'
-
-let add_reg buf r =
-  Buffer.add_string buf (Reg.to_string r);
-  Buffer.add_char buf ','
-
-let add_program buf (p : Ir.t) =
-  Buffer.add_string buf p.Ir.name;
-  Buffer.add_char buf '\x00';
-  Array.iter
-    (fun (i : Ir.instr) ->
-      Buffer.add_string buf i.Ir.op.Mp_isa.Instruction.mnemonic;
-      Buffer.add_char buf '(';
-      List.iter (add_reg buf) i.Ir.dests;
-      Buffer.add_char buf '<';
-      List.iter (add_reg buf) i.Ir.srcs;
-      (match i.Ir.imm with
-       | Some v ->
-         Buffer.add_char buf '#';
-         add_int64 buf v
-       | None -> ());
-      (match i.Ir.mem_target with
-       | Some l ->
-         Buffer.add_char buf '@';
-         Buffer.add_char buf (level_tag l)
-       | None -> ());
-      (match i.Ir.taken_pattern with
-       | Some pat ->
-         Buffer.add_char buf '?';
-         Array.iter (fun b -> Buffer.add_char buf (if b then 't' else 'f')) pat
-       | None -> ());
-      Buffer.add_char buf ')')
-    p.Ir.body;
-  Buffer.add_char buf '|';
-  List.iter
-    (fun (r, v) ->
-      add_reg buf r;
-      Buffer.add_char buf '=';
-      add_int64 buf v)
-    p.Ir.reg_init;
-  Buffer.add_char buf '|';
-  match p.Ir.memory_distribution with
-  | None -> Buffer.add_char buf '-'
-  | Some dist ->
-    List.iter
-      (fun (l, w) ->
-        Buffer.add_char buf (level_tag l);
-        add_int64 buf (Int64.bits_of_float w))
-      dist
-
 let uarch_fingerprint (u : Uarch_def.t) =
   (* everything except [resources], which is a closure (both
      unmarshalable and meaningless as a content key; the instruction
@@ -460,36 +360,23 @@ let uarch_fingerprint (u : Uarch_def.t) =
   in
   Digest.to_hex (Digest.string (Marshal.to_string data []))
 
-(* The original key derivation: serialise everything into a buffer and
-   MD5 it. Kept as the reference implementation — [MP_KEY=marshal]
-   switches back to it, and the tests assert that the structural path
-   below induces the same hit/miss equivalence classes. *)
-let key_marshal ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
-    ~measure ~name per_thread =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf uarch;
-  Buffer.add_char buf ';';
-  (* [None]: the measurement is seed-independent — same bytes on any
-     machine — so the key is shared across seeds *)
-  (match seed with Some s -> add_int buf s | None -> Buffer.add_string buf "-;");
-  add_int buf config.Uarch_def.cores;
-  add_int buf config.Uarch_def.smt;
-  add_int buf warmup;
-  add_int buf measure;
-  Buffer.add_string buf name;
-  Buffer.add_char buf '\x00';
-  Array.iter (add_program buf) per_thread;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+(* cumulative wall time spent deriving keys, for the bench harness *)
+let key_ns = Atomic.make 0
+
+let key_seconds () = float_of_int (Atomic.get key_ns) *. 1e-9
 
 (* O(1) per program: fold the precomputed structural hashes instead of
    re-serialising every instruction on every lookup. The per-program
    name is hashed inside [struct_hash]; [name] here is the run label,
    which [Machine.run] seeds per-thread RNGs from, so it stays in the
    key. *)
-let key_structural ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
-    ~measure ~name per_thread =
+let key ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup ~measure
+    ~name per_thread =
+  let t0 = Unix.gettimeofday () in
   let module F = Mp_util.Fnv in
   let h = F.string F.seed uarch in
+  (* [None]: the measurement is seed-independent — same bytes on any
+     machine — so the key is shared across seeds *)
   let h =
     match seed with None -> F.byte h 0 | Some s -> F.int (F.byte h 1) s
   in
@@ -502,29 +389,7 @@ let key_structural ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
   let h =
     Array.fold_left (fun h p -> F.int64 h (Ir.struct_hash p)) h per_thread
   in
-  F.to_hex (F.finish h)
-
-(* MP_KEY=marshal re-enables the serialising derivation (debug escape
-   hatch for bisecting cache anomalies); anything else — including
-   unset — uses the structural fold. Read once at module
-   initialisation, so concurrent key derivations never race on it. *)
-let use_marshal_key =
-  match Sys.getenv_opt "MP_KEY" with
-  | Some v -> String.lowercase_ascii (String.trim v) = "marshal"
-  | None -> false
-
-(* cumulative wall time spent deriving keys, for the bench harness *)
-let key_ns = Atomic.make 0
-
-let key_seconds () = float_of_int (Atomic.get key_ns) *. 1e-9
-
-let key ?uarch ?seed ~config ~warmup ~measure ~name per_thread =
-  let t0 = Unix.gettimeofday () in
-  let k =
-    if use_marshal_key then
-      key_marshal ?uarch ?seed ~config ~warmup ~measure ~name per_thread
-    else key_structural ?uarch ?seed ~config ~warmup ~measure ~name per_thread
-  in
+  let k = F.to_hex (F.finish h) in
   let dt = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   ignore (Atomic.fetch_and_add key_ns (max 0 dt));
   k
@@ -542,7 +407,9 @@ let find t k =
     Mutex.unlock t.lock;
     (* the disk probe runs outside the lock: it is pure IO and two
        racing probes of the same key load identical bytes *)
-    let from_disk = Option.bind t.disk (fun d -> disk_read d k) in
+    let from_disk : Measurement.t option =
+      Option.bind t.disk (fun d -> read_entry d k)
+    in
     Mutex.lock t.lock;
     (match from_disk with
      | Some m ->
@@ -558,7 +425,7 @@ let add t k m =
   let first = not (Hashtbl.mem t.table k) in
   if first then Hashtbl.add t.table k m;
   Mutex.unlock t.lock;
-  if first then Option.iter (fun d -> disk_write d k m) t.disk
+  if first then Option.iter (fun d -> write_entry d k m) t.disk
 
 (* Single-flight: concurrent misses on the same key run [compute] at
    most once — the first claimant computes, everyone else blocks on
@@ -591,7 +458,7 @@ let rec find_or_add t k compute =
       Hashtbl.add t.pending k ();
       Mutex.unlock t.lock;
       (* the disk probe and the computation both run outside the lock *)
-      match Option.bind t.disk (fun d -> disk_read d k) with
+      match (Option.bind t.disk (fun d -> read_entry d k) : Measurement.t option) with
       | Some m ->
         Mutex.lock t.lock;
         t.hits <- t.hits + 1;
@@ -619,6 +486,6 @@ let rec find_or_add t k compute =
         Hashtbl.remove t.pending k;
         Condition.broadcast t.resolved;
         Mutex.unlock t.lock;
-        Option.iter (fun d -> disk_write d k m) t.disk;
+        Option.iter (fun d -> write_entry d k m) t.disk;
         m
     end

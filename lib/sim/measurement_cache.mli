@@ -26,14 +26,17 @@
     invocations skip every point a previous run already simulated.
     Entries shard into subdirectories named by the first two hex digits
     of the key ([disk.dir/ab/<namespace>-<key>]) so huge caches never
-    accumulate one enormous flat directory; entries written by earlier
-    versions into the flat root are still read, and migrated into their
-    shard on first access. The namespace stamps the schema version
-    {e and a digest of the running executable}: entries written by a
-    different build are ignored (and pruned on first use), because a
-    rebuilt simulator may map the same key to a different measurement.
-    Corrupt, truncated or wrong-version files are treated as misses,
-    never errors.
+    accumulate one enormous flat directory. The namespace stamps the
+    schema version {e and a digest of the running executable}: entries
+    written by a different build are ignored (and pruned on first use),
+    because a rebuilt simulator may map the same key to a different
+    measurement. Corrupt, truncated or wrong-version files are treated
+    as misses, never errors.
+
+    {!Replay} records live in a second store under the same root
+    ({!replay_dir}), written and read through {!write_entry} and
+    {!read_entry}; pruning, {!gc} and the [MP_CACHE_MAX_MB] bound cover
+    both stores.
 
     All operations are domain-safe: the table is guarded by a mutex so
     a {!Machine.run_batch} fan-out can share one cache. *)
@@ -58,8 +61,25 @@ val env_disk : unit -> disk option
 val create : ?disk:disk -> unit -> t
 (** [create ()] is purely in-memory; [create ~disk ()] also reads and
     writes [disk.dir] (created on first write; stale-namespace entries
-    are pruned once per process, and when [MP_CACHE_MAX_MB] is set the
-    directory is {!gc}'d down to that bound once per process). *)
+    of both stores are pruned once per process, and when
+    [MP_CACHE_MAX_MB] is set the directory is {!gc}'d down to that
+    bound once per process). *)
+
+val replay_dir : string -> string
+(** [replay_dir root] is the replay store under a cache root
+    ([root/replay]). *)
+
+val write_entry : disk -> string -> 'a -> unit
+(** Persist one value under [disk.dir/<shard>/<namespace>-<key>]:
+    written to a [.tmp.*] file in the shard and renamed into place, so
+    readers never see a partial entry. Best-effort: IO errors are
+    swallowed. *)
+
+val read_entry : disk -> string -> 'a option
+(** The value {!write_entry} stored under the key, or [None] for a
+    missing, truncated, corrupt or wrong-version file. Unchecked like
+    [Marshal]: the caller must read the type that was written, which
+    is why each store keeps one type in its own directory. *)
 
 (** {2 Housekeeping}
 
@@ -79,14 +99,15 @@ val env_max_bytes : unit -> int option
     a positive number of mebibytes ([None] when unset or unparsable). *)
 
 val gc : ?max_bytes:int -> string -> gc_stats
-(** [gc dir] prunes entry files from a cache directory, oldest mtime
-    first (name breaks ties, so eviction order is deterministic), until
-    the total size is at most [max_bytes] (default {!env_max_bytes};
+(** [gc dir] prunes entry files from a cache directory — measurement
+    entries and the replay store under it alike — oldest mtime first
+    (path breaks ties, so eviction order is deterministic), until the
+    total size is at most [max_bytes] (default {!env_max_bytes};
     a no-op sweep when neither gives a bound). Entries still being
-    written — the [.tmp.*] files {!add} renames into place — are never
-    touched, and a concurrently deleted entry is simply a future cache
-    miss, so running [gc] against a live cache is safe. Best-effort:
-    IO errors skip the file rather than raise. *)
+    written — the [.tmp.*] files {!write_entry} renames into place —
+    are never touched, and a concurrently deleted entry is simply a
+    future cache miss, so running [gc] against a live cache is safe.
+    Best-effort: IO errors skip the file rather than raise. *)
 
 type disk_stats = {
   ds_shards : int;   (** two-hex-digit shard subdirectories present *)
@@ -95,9 +116,10 @@ type disk_stats = {
 }
 
 val disk_stats : string -> disk_stats
-(** Read-only scan of a cache (or replay-store) directory — what
-    [mp-cache stat] prints. A missing directory reports all zeros;
-    in-flight [.tmp.*] files are excluded, as everywhere else. *)
+(** Read-only scan of one store — a cache root, or its {!replay_dir}
+    — what [mp-cache stat] prints for each. A missing directory
+    reports all zeros; in-flight [.tmp.*] files are excluded, as
+    everywhere else. *)
 
 val persistent : t -> bool
 
@@ -143,43 +165,13 @@ val key :
     the same on every machine, so the shared key lets warm disk caches
     serve all seeds.
 
-    By default this is {!key_structural} — an O(1)-per-program fold of
-    the precomputed {!Mp_codegen.Ir.struct_hash} fields. Setting
-    [MP_KEY=marshal] in the environment switches to {!key_marshal}, the
-    original serialise-and-MD5 derivation, as a debug escape hatch; the
-    two induce identical hit/miss equivalence classes but produce
-    different key strings (so a disk cache written under one derivation
-    is cold under the other). *)
-
-val key_structural :
-  ?uarch:string ->
-  ?seed:int ->
-  config:Mp_uarch.Uarch_def.config ->
-  warmup:int ->
-  measure:int ->
-  name:string ->
-  Mp_codegen.Ir.t array ->
-  string
-(** The fast derivation: FNV/splitmix fold over the job parameters and
-    each program's precomputed structural hash. 16 hex characters. *)
-
-val key_marshal :
-  ?uarch:string ->
-  ?seed:int ->
-  config:Mp_uarch.Uarch_def.config ->
-  warmup:int ->
-  measure:int ->
-  name:string ->
-  Mp_codegen.Ir.t array ->
-  string
-(** The reference derivation: serialise every program field into a
-    buffer and MD5 it. 32 hex characters. Exposed for the equivalence
-    tests and the [MP_KEY=marshal] escape hatch. *)
+    An O(1)-per-program FNV/splitmix fold over the job parameters and
+    each program's precomputed {!Mp_codegen.Ir.struct_hash}; 16 hex
+    characters. *)
 
 val key_seconds : unit -> float
-(** Cumulative wall-clock seconds this process has spent inside {!key}
-    (either derivation), for the bench harness's
-    [key_digest_seconds] metric. *)
+(** Cumulative wall-clock seconds this process has spent inside {!key},
+    for the bench harness's [key_digest_seconds] metric. *)
 
 val find : t -> string -> Measurement.t option
 (** Memory first, then disk (promoting a disk entry into memory).

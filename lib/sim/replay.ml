@@ -75,10 +75,8 @@ let max_bases = 8
 type t = {
   table : (string, record) Hashtbl.t;
   lock : Mutex.t;
-  disk_dir : string option; (* records live in dir/<shard>/<ns>-<key> *)
+  disk : Measurement_cache.disk option;
 }
-
-let schema_version = 1
 
 let hits_ctr = Atomic.make 0
 let misses_ctr = Atomic.make 0
@@ -96,16 +94,24 @@ let enabled () =
   | None -> true
 
 (* Same gate and directory as the measurement cache ([MP_CACHE],
-   [MP_CACHE_DIR]), one level down — replay records shard and
-   namespace exactly like measurement entries, so a build's records
-   are pruned and GC'd by the same housekeeping story. *)
+   [MP_CACHE_DIR]), one level down — records are written through the
+   cache's own entry functions, so a build's records are pruned and
+   GC'd with its measurements. *)
 let env_disk_dir () =
-  match Measurement_cache.env_disk () with
-  | None -> None
-  | Some d -> Some (Filename.concat d.Measurement_cache.dir "replay")
+  Option.map
+    (fun d -> Measurement_cache.replay_dir d.Measurement_cache.dir)
+    (Measurement_cache.env_disk ())
 
 let create ?disk_dir () =
-  { table = Hashtbl.create 256; lock = Mutex.create (); disk_dir }
+  {
+    table = Hashtbl.create 256;
+    lock = Mutex.create ();
+    disk =
+      Option.map
+        (fun dir ->
+          { Measurement_cache.dir; namespace = Measurement_cache.namespace () })
+        disk_dir;
+  }
 
 let length t =
   Mutex.lock t.lock;
@@ -145,49 +151,6 @@ let key ~uarch ~smt ~warmup ~mem_latency ?salt (per_thread : Ir.t array) =
     Array.fold_left (fun h (p : Ir.t) -> int64 h p.Ir.body_hash) h per_thread
   in
   to_hex (finish h)
-
-(* ----- disk persistence -------------------------------------------------- *)
-
-let shard_of key =
-  if String.length key >= 2 then String.sub key 0 2 else "00"
-
-let entry_path dir key =
-  Filename.concat
-    (Filename.concat dir (shard_of key))
-    (Measurement_cache.namespace () ^ "-" ^ key)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
-let disk_read dir key =
-  let path = entry_path dir key in
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let v, k, (r : record) = Marshal.from_channel ic in
-        if v = schema_version && k = key then Some r else None)
-  with _ -> None
-
-let disk_write dir key (r : record) =
-  try
-    let path = entry_path dir key in
-    mkdir_p (Filename.dirname path);
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        (Hashtbl.hash (Domain.self ()))
-    in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Marshal.to_channel oc (schema_version, key, r) []);
-    Sys.rename tmp path
-  with _ -> () (* best-effort, like the measurement cache *)
 
 (* ----- activity <-> record conversion ------------------------------------ *)
 
@@ -343,10 +306,10 @@ let lookup t key =
   Mutex.lock t.lock;
   let r = Hashtbl.find_opt t.table key in
   Mutex.unlock t.lock;
-  match (r, t.disk_dir) with
+  match (r, t.disk) with
   | (Some _ as r), _ | r, None -> r
-  | None, Some dir ->
-    (match disk_read dir key with
+  | None, Some disk ->
+    (match (Measurement_cache.read_entry disk key : record option) with
      | None -> None
      | Some r ->
        Mutex.lock t.lock;
@@ -448,6 +411,4 @@ let record t ~opmap ~measure key (activity : Core_sim.activity)
   if changed then Hashtbl.replace t.table key merged;
   Mutex.unlock t.lock;
   if changed then
-    match t.disk_dir with
-    | Some dir -> disk_write dir key merged
-    | None -> ()
+    Option.iter (fun disk -> Measurement_cache.write_entry disk key merged) t.disk

@@ -25,10 +25,14 @@
 
     The whole layer is disabled by [MP_REPLAY=off] (accepted spellings
     as for [MP_PERIOD]); {!Machine.create} then simulates every run
-    densely. Records persist to disk under the measurement cache's
-    directory ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same
-    2-hex-digit sharding, same binary-stamped namespace), so warm runs
-    skip even their first-period simulation. *)
+    densely. Records persist through the measurement cache's own entry
+    functions ({!Measurement_cache.write_entry}) into its replay store
+    ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same 2-hex-digit
+    sharding, same binary-stamped namespace), so warm runs skip even
+    their first-period simulation, and the cache's housekeeping covers
+    them: stale-build records are pruned when a cache is created, and
+    {!Measurement_cache.gc} and [MP_CACHE_MAX_MB] bound them together
+    with the measurements. *)
 
 type t
 

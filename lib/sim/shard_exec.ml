@@ -32,7 +32,6 @@ type job = {
   (* one element = homogeneous deployment (replicated over SMT
      threads); [smt] elements = heterogeneous per-thread programs *)
   j_programs : Ir.t list;
-  j_cost : float; (* forwarded so workers schedule heaviest-first too *)
 }
 
 type request = {
@@ -121,32 +120,11 @@ let env_hosts () =
   else
     match Sys.getenv_opt "MP_HOSTS" with None -> [] | Some s -> parse_hosts s
 
-(* MP_SHARD_SCHED: how a batch is spread over the pool. [Dynamic] (the
-   default) splits each shard into chunks and dispatches them
-   work-conservingly — fast slots drain work slow slots haven't
-   started; [Static] is the original one-frame-per-slot barrier, kept
-   as a fallback and as the baseline the scheduling bench compares
-   against. *)
-type sched = Static | Dynamic
-
-let env_sched () =
-  match Sys.getenv_opt "MP_SHARD_SCHED" with
-  | Some s when String.lowercase_ascii (String.trim s) = "static" -> Static
-  | _ -> Dynamic
-
-(* MP_INFLIGHT: chunk frames kept in flight per slot under the dynamic
-   scheduler. Workers serve strictly one request at a time, so a second
-   outstanding frame sits in the pipe/socket buffer — its transfer and
-   decode overlap the previous chunk's compute. 1 disables pipelining. *)
-let default_inflight = 2
-
-let env_inflight () =
-  match Sys.getenv_opt "MP_INFLIGHT" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> min n 64
-     | _ -> default_inflight)
-  | None -> default_inflight
+(* Chunk frames kept in flight per slot. Workers serve strictly one
+   request at a time, so the second outstanding frame sits in the
+   pipe/socket buffer — its transfer and decode overlap the previous
+   chunk's compute. *)
+let inflight = 2
 
 (* MP_SPECULATE: what an idle slot does once the queue is empty but
    chunks are still outstanding elsewhere. [Spec_on] (default)
@@ -556,74 +534,11 @@ let shutdown_pool p =
 
 (* One sharded dispatch at a time per coordinator: each slot's
    pipe/socket carries one request/response conversation (a window of
-   pipelined frames under the dynamic scheduler), so interleaving two
-   batches over the same pool would cross their frames. *)
+   pipelined frames), so interleaving two batches over the same pool
+   would cross their frames. *)
 let dispatch_lock = Mutex.create ()
 
-(* ----- static scheduler --------------------------------------------------- *)
-
-(* The original one-frame-per-slot barrier: each shard travels as a
-   single request, every shard is sent before any response is read, and
-   the batch takes as long as its slowest shard. Kept as the
-   MP_SHARD_SCHED=static fallback and as the baseline the scheduling
-   bench compares against. *)
-let run_static p ~spec ~warmup ~measure ~period jobs results =
-  let shards = pool_size p in
-  let buckets = Array.make shards [] in
-  Array.iteri
-    (fun i j ->
-      let s = shard_index ~shards j.j_programs in
-      buckets.(s) <- i :: buckets.(s))
-    jobs;
-  let buckets = Array.map (fun l -> Array.of_list (List.rev l)) buckets in
-  let ns = Measurement_cache.namespace () in
-  (* send every shard first, then collect: workers compute their
-     shards concurrently while the coordinator waits on the first *)
-  let in_flight = Array.make shards false in
-  Array.iteri
-    (fun s bucket ->
-      if Array.length bucket > 0 then begin
-        let rq =
-          {
-            rq_ns = ns;
-            rq_chunk = s;
-            rq_warmup = warmup;
-            rq_measure = measure;
-            rq_period = period;
-            rq_spec = spec;
-            rq_jobs = Array.map (fun i -> jobs.(i)) bucket;
-          }
-        in
-        match Marshal.to_bytes rq [ Marshal.Closures ] with
-        | exception _ -> () (* unmarshalable spec: caller recovers *)
-        | payload ->
-          in_flight.(s) <-
-            Mp_util.Transport.send ~timeout_s:p.timeout_s (slot_endpoint p s)
-              payload
-      end)
-    buckets;
-  Array.iteri
-    (fun s bucket ->
-      if in_flight.(s) then begin
-        let ep = slot_endpoint p s in
-        match Mp_util.Transport.recv ~timeout_s:p.timeout_s ep with
-        | None -> () (* crash/timeout: slot reaped, jobs recovered *)
-        | Some payload ->
-          (match (Marshal.from_bytes payload 0 : response) with
-           | exception _ -> Mp_util.Transport.reap ep
-           | rs ->
-             if rs.rs_ns <> ns then Mp_util.Transport.reap ep
-             else (
-               match rs.rs_results with
-               | Error _ -> () (* worker-reported failure *)
-               | Ok arr ->
-                 if Array.length arr = Array.length bucket then
-                   Array.iteri (fun k i -> results.(i) <- Some arr.(k)) bucket
-                 else Mp_util.Transport.reap ep))
-      end)
-    buckets
-
-(* ----- dynamic scheduler -------------------------------------------------- *)
+(* ----- scheduler ---------------------------------------------------------- *)
 
 (* Aim for enough chunks that every slot refills its pipeline window a
    few times over — that is what lets fast slots drain a skewed shard —
@@ -663,9 +578,12 @@ type slot_acc = {
    first response wins — a straggling or silently-dead slot no longer
    gates the batch. Results are scattered by the chunk's own job
    indices, so placement never affects what the caller sees. *)
-let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
-    ~speculate jobs results =
+let schedule p ~spec ~warmup ~measure ~period jobs results =
   let slots = pool_size p in
+  let chunk_jobs =
+    default_chunk_jobs ~jobs:(Array.length jobs) ~slots ~inflight
+  in
+  let speculate = env_speculate () in
   let ns = Measurement_cache.namespace () in
   let t_start = Unix.gettimeofday () in
   (* chunking: bucket job indices by preferred slot, split each bucket
@@ -683,10 +601,9 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
     (fun s l ->
       let idxs = Array.of_list (List.rev l) in
       let len = Array.length idxs in
-      let step = max 1 chunk_jobs in
       let off = ref 0 in
       while !off < len do
-        let k = min step (len - !off) in
+        let k = min chunk_jobs (len - !off) in
         let c =
           {
             c_id = !n_chunks;
@@ -883,7 +800,7 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
   let rec loop () =
     if !live_left > 0 && any_live () then begin
       (* dispatch: keep every live slot's window full. The first frame
-         may block like a static send; refills are gated on a
+         may block; refills are gated on a
          zero-timeout writability probe so one slot's full buffer never
          wedges the whole loop. *)
       for s = 0 to slots - 1 do
@@ -989,33 +906,12 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
         })
     stats
 
-let run_jobs p ~spec ~warmup ~measure ?period ?sched ?chunk_jobs ?inflight
-    ?speculate jobs =
+let run_jobs p ~spec ~warmup ~measure ?period jobs =
   let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  let results = Array.make n None in
-  if n > 0 then begin
-    Mutex.lock dispatch_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock dispatch_lock)
-      (fun () ->
-        match (match sched with Some s -> s | None -> env_sched ()) with
-        | Static -> run_static p ~spec ~warmup ~measure ~period jobs results
-        | Dynamic ->
-          let inflight =
-            match inflight with Some i -> max 1 i | None -> env_inflight ()
-          in
-          let chunk_jobs =
-            match chunk_jobs with
-            | Some c -> max 1 c
-            | None -> default_chunk_jobs ~jobs:n ~slots:(pool_size p) ~inflight
-          in
-          let speculate =
-            match speculate with Some s -> s | None -> env_speculate ()
-          in
-          run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
-            ~speculate jobs results)
-  end;
+  let results = Array.make (Array.length jobs) None in
+  if Array.length jobs > 0 then
+    Mutex.protect dispatch_lock (fun () ->
+        schedule p ~spec ~warmup ~measure ~period jobs results);
   results
 
 (* ----- the shared pool --------------------------------------------------- *)

@@ -38,13 +38,14 @@
     {2 Crash tolerance}
 
     A worker that crashes, writes garbage, or exceeds
-    [MP_PROC_TIMEOUT_S] is reaped; {!run_jobs} returns [None] for its
-    shard's positions and the caller ({!Machine.run_batch}) re-runs
-    exactly those jobs in its own domain pool — a dying worker degrades
-    to a slower batch, never a failed or wrong one. The next dispatch
-    respawns a subprocess slot transparently; a remote slot reconnects
-    with capped backoff (the worker process itself is out of our
-    hands). *)
+    [MP_PROC_TIMEOUT_S] is reaped and its chunks re-enter the queue for
+    the surviving slots; {!run_jobs} returns [None] only for positions
+    no live slot could complete, and the caller ({!Machine.run_batch})
+    re-runs exactly those jobs in its own domain pool — a dying worker
+    degrades to a slower batch, never a failed or wrong one. The next
+    dispatch respawns a subprocess slot transparently; a remote slot
+    reconnects with capped backoff (the worker process itself is out
+    of our hands). *)
 
 (** Everything needed to reconstruct an equivalent [Machine.t] in the
     worker (the worker memoizes machines per spec, so consecutive
@@ -61,9 +62,6 @@ type job = {
   j_programs : Mp_codegen.Ir.t list;
       (** one element: homogeneous deployment (replicated over SMT
           threads); [smt] elements: heterogeneous per-thread programs *)
-  j_cost : float;
-      (** scheduling hint, forwarded so the worker's domain pool also
-          starts heaviest-first *)
 }
 
 type request = {
@@ -108,24 +106,6 @@ val env_hosts : unit -> (string * int) list
 val parse_hosts : string -> (string * int) list
 (** The parser under {!env_hosts}, exposed for the CLI and tests. *)
 
-(** How a batch is spread over the pool (see {!run_jobs}). *)
-type sched = Static | Dynamic
-
-val env_sched : unit -> sched
-(** [MP_SHARD_SCHED] parsed: [static] selects the original
-    one-frame-per-slot barrier; anything else (including unset) selects
-    the work-conserving dynamic scheduler. *)
-
-val default_inflight : int
-(** 2 — one chunk computing, one in the pipe. *)
-
-val env_inflight : unit -> int
-(** [MP_INFLIGHT] parsed: chunk frames kept in flight per slot under
-    the dynamic scheduler, clamped to [1..64] (default
-    {!default_inflight}; [1] disables pipelining). Workers serve one
-    request at a time, so extra frames wait in the transport buffer —
-    their transfer overlaps the previous chunk's compute. *)
-
 (** What an idle slot does once the shared queue is empty but chunks
     are still outstanding elsewhere. [Spec_force] is a test hook:
     duplicate eagerly whenever a slot merely has spare window,
@@ -138,16 +118,17 @@ val env_speculate : unit -> speculate
     [Spec_force], anything else (including unset) → [Spec_on]. *)
 
 val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
-(** The chunk-size heuristic under the dynamic scheduler: jobs per
-    chunk such that each slot's pipeline window refills about four
-    times over a balanced batch ([jobs / (slots * inflight * 4)], at
-    least 1) — enough granularity for fast slots to drain a skewed
-    shard, coarse enough to amortize framing. *)
+(** The chunk-size heuristic: jobs per chunk such that each slot's
+    pipeline window of [inflight] frames refills about four times over
+    a balanced batch ([jobs / (slots * inflight * 4)], at least 1) —
+    enough granularity for fast slots to drain a skewed shard, coarse
+    enough to amortize framing. {!run_jobs} applies it with a window
+    of 2: one chunk computing, one in the pipe. *)
 
 (** {3 Per-slot telemetry}
 
     Cumulative per endpoint label ([proc:N] or [host:port]) over every
-    dynamically-scheduled batch in the process. *)
+    sharded batch in the process. *)
 
 type slot_stat = {
   sl_jobs : int;  (** jobs whose first-accepted result came from here *)
@@ -160,7 +141,7 @@ type slot_stat = {
 }
 
 val slot_stats : unit -> (string * slot_stat) list
-(** Sorted by label. Empty until a dynamic batch has run. *)
+(** Sorted by label. Empty until a sharded batch has run. *)
 
 val reset_slot_stats : unit -> unit
 
@@ -258,39 +239,28 @@ val run_jobs :
   warmup:int ->
   measure:int ->
   ?period:bool ->
-  ?sched:sched ->
-  ?chunk_jobs:int ->
-  ?inflight:int ->
-  ?speculate:speculate ->
   job list ->
   Measurement.t option array
-(** Run the jobs on the pool and scatter results back positionally;
-    every parameter that is not given falls back to its [MP_*] knob.
+(** Run the jobs on the pool and scatter results back positionally.
 
-    Under [Static], each slot's {!shard_index} bucket travels as one
-    request, every shard is sent before any response is read, and the
-    batch takes as long as its slowest shard. A slot lost to a crash,
-    timeout, garbage frame, or namespace mismatch leaves [None] at its
-    bucket's positions.
+    Each slot's {!shard_index} bucket is split into chunks
+    ({!default_chunk_jobs}) that {e prefer} their affinity slot — warm
+    replay/cache state keeps accruing where placement always put it —
+    but dispatch is work-conserving: every live slot keeps up to two
+    chunk frames outstanding, completions refill from the slot's own
+    queue, then from re-queued chunks of dead slots, then by stealing
+    from the longest sibling queue. Once queues are dry, idle slots
+    re-dispatch the oldest outstanding chunk (per {!env_speculate})
+    and the first response wins — a straggler or silently-dead slot
+    no longer gates the batch, and a crashed slot's chunks re-enter
+    the queue instead of falling back to the coordinator. [None]
+    positions remain only for chunks no live slot could complete
+    (deterministic executor failure, unmarshalable request, or every
+    slot dead).
 
-    Under [Dynamic] (the default), each bucket is split into chunks of
-    [chunk_jobs] ({!default_chunk_jobs} when omitted) that still
-    {e prefer} their affinity slot — warm replay/cache state keeps
-    accruing where placement always put it — but dispatch is
-    work-conserving: every live slot keeps up to [inflight] chunk
-    frames outstanding, completions refill from the slot's own queue,
-    then from re-queued chunks of dead slots, then by stealing from
-    the longest sibling queue. Once queues are dry, idle slots
-    re-dispatch the oldest outstanding chunk ([speculate]) and the
-    first response wins — a straggler or silently-dead slot no longer
-    gates the batch, and a crashed slot's chunks re-enter the queue
-    instead of falling back to the coordinator. [None] positions
-    remain only for chunks no live slot could complete (deterministic
-    executor failure, unmarshalable request, or every slot dead).
-
-    Either way the result is bit-identical to in-process execution,
-    and dispatches are serialized process-wide (one conversation per
-    slot at a time). *)
+    The result is bit-identical to in-process execution, and
+    dispatches are serialized process-wide (one conversation per slot
+    at a time). *)
 
 (** {2 The shared pool} *)
 

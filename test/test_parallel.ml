@@ -564,24 +564,7 @@ let test_run_batch_remote_crash_recovers () =
 
 (* ----- dynamic shard scheduler ----------------------------------------------- *)
 
-let test_sched_knob_env () =
-  let sched s = Unix.putenv "MP_SHARD_SCHED" s; Shard_exec.env_sched () in
-  Alcotest.(check bool) "static selected" true (sched "static" = Shard_exec.Static);
-  Alcotest.(check bool) "case/space tolerant" true
-    (sched "  Static " = Shard_exec.Static);
-  Alcotest.(check bool) "dynamic selected" true (sched "dynamic" = Shard_exec.Dynamic);
-  Alcotest.(check bool) "garbage means dynamic" true
-    (sched "one-frame-per-slot" = Shard_exec.Dynamic);
-  Alcotest.(check bool) "unset means dynamic" true (sched "" = Shard_exec.Dynamic);
-  let inflight s = Unix.putenv "MP_INFLIGHT" s; Shard_exec.env_inflight () in
-  Alcotest.(check int) "explicit depth" 4 (inflight "4");
-  Alcotest.(check int) "1 disables pipelining" 1 (inflight "1");
-  Alcotest.(check int) "clamped above" 64 (inflight "1000");
-  Alcotest.(check int) "zero falls back" Shard_exec.default_inflight (inflight "0");
-  Alcotest.(check int) "garbage falls back" Shard_exec.default_inflight
-    (inflight "deep");
-  Alcotest.(check int) "unset is the default" Shard_exec.default_inflight
-    (inflight "");
+let test_speculate_knob_env () =
   let spec s = Unix.putenv "MP_SPECULATE" s; Shard_exec.env_speculate () in
   Alcotest.(check bool) "off" true (spec "off" = Shard_exec.Spec_off);
   Alcotest.(check bool) "0 is off" true (spec "0" = Shard_exec.Spec_off);
@@ -599,15 +582,7 @@ let test_chunk_heuristic () =
   Alcotest.(check int) "empty batch" 1
     (Shard_exec.default_chunk_jobs ~jobs:0 ~slots:2 ~inflight:2);
   Alcotest.(check int) "degenerate pool" 24
-    (Shard_exec.default_chunk_jobs ~jobs:96 ~slots:0 ~inflight:0);
-  (* the Machine-side helper reads the pipeline depth from MP_INFLIGHT *)
-  Unix.putenv "MP_INFLIGHT" "2";
-  Alcotest.(check int) "machine helper agrees" 4
-    (Machine.shard_chunk_jobs ~jobs:96 ~slots:3);
-  Unix.putenv "MP_INFLIGHT" "8";
-  Alcotest.(check int) "machine helper tracks the knob" 1
-    (Machine.shard_chunk_jobs ~jobs:96 ~slots:3);
-  Unix.putenv "MP_INFLIGHT" ""
+    (Shard_exec.default_chunk_jobs ~jobs:96 ~slots:0 ~inflight:0)
 
 (* A deliberately skewed batch: one heavy program appearing under four
    configurations — the config-blind placement fold lands all four on
@@ -635,13 +610,10 @@ let test_dynamic_skewed_matches_serial () =
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
   let rec0 = Machine.jobs_recovered () in
-  let m2 = Machine.create ~cache:false a.Arch.uarch in
-  check_identical "static vs serial" serial
-    (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Static m2 jobs);
   Shard_exec.reset_slot_stats ();
-  let m3 = Machine.create ~cache:false a.Arch.uarch in
+  let m2 = Machine.create ~cache:false a.Arch.uarch in
   check_identical "dynamic vs serial" serial
-    (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m3 jobs);
+    (Machine.run_batch ~procs:2 m2 jobs);
   Alcotest.(check int) "no recoveries in a healthy run" rec0
     (Machine.jobs_recovered ());
   (* per-slot telemetry: both subprocess slots got a row, the
@@ -673,13 +645,13 @@ let test_dynamic_crash_requeues () =
     Mp_util.Procpool.kill (Shard_exec.procpool p) 0;
     let m2 = Machine.create ~cache:false a.Arch.uarch in
     check_identical "one dead worker vs serial" serial
-      (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m2 jobs);
+      (Machine.run_batch ~procs:2 m2 jobs);
     Alcotest.(check int) "requeue absorbed the loss in-pool" rec0
       (Machine.jobs_recovered ());
     (* the next dispatch respawns the reaped slot transparently *)
     let m3 = Machine.create ~cache:false a.Arch.uarch in
     check_identical "respawned pool vs serial" serial
-      (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m3 jobs)
+      (Machine.run_batch ~procs:2 m3 jobs)
 
 let test_speculate_force_first_result_wins () =
   let a = Arch.power7 () in
@@ -700,7 +672,7 @@ let test_speculate_force_first_result_wins () =
         let c0 = Shard_exec.chunks_cancelled () in
         let m2 = Machine.create ~cache:false a.Arch.uarch in
         check_identical "speculated vs serial" serial
-          (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m2 jobs);
+          (Machine.run_batch ~procs:2 m2 jobs);
         if Shard_exec.chunks_cancelled () > c0 then
           Alcotest.(check bool) "duplicates were dispatched" true
             (Shard_exec.chunks_speculated () > s0)
@@ -759,11 +731,10 @@ let () =
          Alcotest.test_case "remote crash recovers + reconnects" `Quick
            test_run_batch_remote_crash_recovers ]);
       ("dynamic scheduler",
-       [ Alcotest.test_case "MP_SHARD_SCHED / MP_INFLIGHT / MP_SPECULATE"
-           `Quick test_sched_knob_env;
+       [ Alcotest.test_case "MP_SPECULATE" `Quick test_speculate_knob_env;
          Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;
-         Alcotest.test_case "skewed batch bit-identical (static+dynamic)"
-           `Quick test_dynamic_skewed_matches_serial;
+         Alcotest.test_case "skewed batch bit-identical" `Quick
+           test_dynamic_skewed_matches_serial;
          Alcotest.test_case "SIGKILL mid-batch requeues in-pool" `Quick
            test_dynamic_crash_requeues;
          Alcotest.test_case "forced speculation: first result wins" `Quick

@@ -600,6 +600,53 @@ let test_replay_store_concurrent_writers () =
    | None -> Alcotest.fail "record not served from the replay store");
   Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
 
+let test_replay_store_housekeeping () =
+  with_cache_dir (fresh_dir "replaygc") (fun () ->
+      let a = arch () in
+      let u = a.Arch.uarch in
+      let p = mono a "mulld" in
+      let dir = Sys.getenv "MP_CACHE_DIR" in
+      let rdir = Measurement_cache.replay_dir dir in
+      (* one record of this build, written through a table on the
+         replay store ... *)
+      let opmap = Core_sim.opmap_create () in
+      let dp = Core_sim.deploy ~uarch:u ~opmap ~streams:(fun _ -> [||]) p in
+      let activity, pd =
+        Core_sim.run_ex ~uarch:u ~opmap ~warmup:1 ~measure:4 [| dp |]
+      in
+      let key =
+        Replay.key
+          ~uarch:(Measurement_cache.uarch_fingerprint u)
+          ~smt:1 ~warmup:1 ~mem_latency:u.Mp_uarch.Uarch_def.mem_latency
+          [| p |]
+      in
+      Replay.record (Replay.create ~disk_dir:rdir ()) ~opmap ~measure:4 key
+        activity pd;
+      (* ... and one stale file per store, as another build left them *)
+      let stale store =
+        let shard = Filename.concat store "ab" in
+        (try Unix.mkdir shard 0o755 with Unix.Unix_error _ -> ());
+        let path = Filename.concat shard "v0-stale-ab00" in
+        let oc = open_out_bin path in
+        output_string oc "stale";
+        close_out oc;
+        path
+      in
+      let stale_entry = stale dir and stale_record = stale rdir in
+      ignore (Machine.create u);
+      Alcotest.(check bool) "stale cache entry pruned" false
+        (Sys.file_exists stale_entry);
+      Alcotest.(check bool) "stale replay record pruned" false
+        (Sys.file_exists stale_record);
+      Alcotest.(check int) "current replay record kept" 1
+        (Measurement_cache.disk_stats rdir).Measurement_cache.ds_entries;
+      let s = Measurement_cache.gc ~max_bytes:0 dir in
+      Alcotest.(check int) "gc sees the replay record" 1
+        s.Measurement_cache.entries;
+      Alcotest.(check int) "gc removes it" 1 s.Measurement_cache.removed;
+      Alcotest.(check int) "replay store empty" 0
+        (Measurement_cache.disk_stats rdir).Measurement_cache.ds_entries)
+
 (* ----- multi-process batches ------------------------------------------------ *)
 
 let test_procs_batch_matches_serial () =
@@ -635,6 +682,28 @@ let test_procs_batch_matches_serial () =
         true
         (compare s b = 0))
     hserial hbatch
+
+let test_hetero_batch_arity () =
+  (* a one-program job at SMT 2 is not a heterogeneous job: the batch
+     must reject it before anything runs, in-process and sharded alike
+     — a worker would otherwise measure it as a replicated deployment *)
+  let a = arch () in
+  let c = config a ~cores:2 ~smt:2 in
+  let p1 = mono a "mulld" and p2 = mono a "lbz" and p3 = mono a "fadd" in
+  let jobs =
+    [ (c, [ p1; p2 ]); (c, [ p2; p1 ]); (c, [ p1; p3 ]); (c, [ p3; p2 ]);
+      (c, [ p3 ]) ]
+  in
+  List.iter
+    (fun procs ->
+      let m = Machine.create ~cache:false a.Arch.uarch in
+      Alcotest.(check bool)
+        (Printf.sprintf "procs %d rejects the batch" procs)
+        true
+        (match Machine.run_heterogeneous_batch ~procs m jobs with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [ 0; 2 ]
 
 let test_single_flight () =
   let cache = Measurement_cache.create () in
@@ -763,6 +832,86 @@ let diverse_programs a =
     brancher ();                    (* duplicate with a branch pattern *)
   ]
 
+(* The reference key derivation the structural fold replaced:
+   serialise every program field into a buffer and MD5 it. Kept here
+   as the oracle for the equivalence-class test. *)
+let level_tag = function
+  | Mp_uarch.Cache_geometry.L1 -> '1'
+  | Mp_uarch.Cache_geometry.L2 -> '2'
+  | Mp_uarch.Cache_geometry.L3 -> '3'
+  | Mp_uarch.Cache_geometry.MEM -> 'M'
+
+let add_int buf n =
+  Buffer.add_string buf (string_of_int n);
+  Buffer.add_char buf ';'
+
+let add_int64 buf n =
+  Buffer.add_string buf (Int64.to_string n);
+  Buffer.add_char buf ';'
+
+let add_reg buf r =
+  Buffer.add_string buf (Reg.to_string r);
+  Buffer.add_char buf ','
+
+let add_program buf (p : Ir.t) =
+  Buffer.add_string buf p.Ir.name;
+  Buffer.add_char buf '\x00';
+  Array.iter
+    (fun (i : Ir.instr) ->
+      Buffer.add_string buf i.Ir.op.Mp_isa.Instruction.mnemonic;
+      Buffer.add_char buf '(';
+      List.iter (add_reg buf) i.Ir.dests;
+      Buffer.add_char buf '<';
+      List.iter (add_reg buf) i.Ir.srcs;
+      (match i.Ir.imm with
+       | Some v ->
+         Buffer.add_char buf '#';
+         add_int64 buf v
+       | None -> ());
+      (match i.Ir.mem_target with
+       | Some l ->
+         Buffer.add_char buf '@';
+         Buffer.add_char buf (level_tag l)
+       | None -> ());
+      (match i.Ir.taken_pattern with
+       | Some pat ->
+         Buffer.add_char buf '?';
+         Array.iter (fun b -> Buffer.add_char buf (if b then 't' else 'f')) pat
+       | None -> ());
+      Buffer.add_char buf ')')
+    p.Ir.body;
+  Buffer.add_char buf '|';
+  List.iter
+    (fun (r, v) ->
+      add_reg buf r;
+      Buffer.add_char buf '=';
+      add_int64 buf v)
+    p.Ir.reg_init;
+  Buffer.add_char buf '|';
+  match p.Ir.memory_distribution with
+  | None -> Buffer.add_char buf '-'
+  | Some dist ->
+    List.iter
+      (fun (l, w) ->
+        Buffer.add_char buf (level_tag l);
+        add_int64 buf (Int64.bits_of_float w))
+      dist
+
+let key_marshal ?(uarch = "") ?seed ~(config : Mp_uarch.Uarch_def.config)
+    ~warmup ~measure ~name per_thread =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf uarch;
+  Buffer.add_char buf ';';
+  (match seed with Some s -> add_int buf s | None -> Buffer.add_string buf "-;");
+  add_int buf config.Mp_uarch.Uarch_def.cores;
+  add_int buf config.Mp_uarch.Uarch_def.smt;
+  add_int buf warmup;
+  add_int buf measure;
+  Buffer.add_string buf name;
+  Buffer.add_char buf '\x00';
+  Array.iter (add_program buf) per_thread;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let test_key_equivalence_classes () =
   (* the structural-fold keys must induce exactly the hit/miss
      equivalence classes of the marshal-digest keys over a diverse job
@@ -784,10 +933,10 @@ let test_key_equivalence_classes () =
     List.map
       (fun ((p : Ir.t), cores, smt, seed, warmup, measure) ->
         let c = config a ~cores ~smt in
-        ( Measurement_cache.key_structural ~uarch:fp ?seed ~config:c ~warmup
-            ~measure ~name:p.Ir.name [| p |],
-          Measurement_cache.key_marshal ~uarch:fp ?seed ~config:c ~warmup
-            ~measure ~name:p.Ir.name [| p |] ))
+        ( Measurement_cache.key ~uarch:fp ?seed ~config:c ~warmup ~measure
+            ~name:p.Ir.name [| p |],
+          key_marshal ~uarch:fp ?seed ~config:c ~warmup ~measure
+            ~name:p.Ir.name [| p |] ))
       jobs
   in
   let keys = Array.of_list keys in
@@ -881,13 +1030,13 @@ let test_hetero_batch_dedup_scatter () =
         true (compare p d = 0))
     (List.combine plain deduped)
 
-let test_disk_cache_shard_layout_and_migration () =
+let test_disk_cache_shard_layout () =
   with_cache_dir (fresh_dir "shard") (fun () ->
       let a = arch () in
       let p = mono a "mulld" in
       let c = config a ~cores:1 ~smt:1 in
       let m1 = Machine.create a.Arch.uarch in
-      let r1 = Machine.run m1 c p in
+      ignore (Machine.run m1 c p);
       let dir = Sys.getenv "MP_CACHE_DIR" in
       let is_hex2 f =
         String.length f = 2
@@ -917,30 +1066,7 @@ let test_disk_cache_shard_layout_and_migration () =
           else Alcotest.fail ("flat entry in a sharded cache root: " ^ f))
         (Sys.readdir dir);
       Alcotest.(check bool) "at least one entry written" true
-        (!entries <> []);
-      (* legacy flat layout: move every entry into the root, as an
-         earlier version would have written it *)
-      List.iter
-        (fun (shard, e) ->
-          Sys.rename
-            (Filename.concat (Filename.concat dir shard) e)
-            (Filename.concat dir e))
-        !entries;
-      let m2 = Machine.create a.Arch.uarch in
-      let r2 = Machine.run m2 c p in
-      Alcotest.(check bool) "legacy entry served bit-identical" true
-        (compare r1 r2 = 0);
-      let s = cache_stats m2 in
-      Alcotest.(check int) "served from disk" 1 s.Measurement_cache.disk_hits;
-      Alcotest.(check int) "no simulation ran" 0 s.Measurement_cache.misses;
-      (* and the read migrated the flat entry back into its shard *)
-      List.iter
-        (fun (shard, e) ->
-          Alcotest.(check bool) ("flat copy gone: " ^ e) false
-            (Sys.file_exists (Filename.concat dir e));
-          Alcotest.(check bool) ("migrated into " ^ shard) true
-            (Sys.file_exists (Filename.concat (Filename.concat dir shard) e)))
-        !entries)
+        (!entries <> []))
 
 (* ----- exact period skipping ------------------------------------------------ *)
 
@@ -1373,7 +1499,9 @@ let () =
        [ Alcotest.test_case "hetero batch = serial" `Quick
            test_hetero_batch_matches_serial;
          Alcotest.test_case "multi-process = serial" `Quick
-           test_procs_batch_matches_serial ]);
+           test_procs_batch_matches_serial;
+         Alcotest.test_case "hetero arity checked up front" `Quick
+           test_hetero_batch_arity ]);
       ("period skipping",
        [ Alcotest.test_case "detects and skips" `Quick test_period_detects_and_skips;
          Alcotest.test_case "compute kernels" `Quick test_period_equiv_compute;
@@ -1408,8 +1536,9 @@ let () =
          Alcotest.test_case "single flight" `Quick test_single_flight;
          Alcotest.test_case "gc size bound" `Quick test_cache_gc;
          Alcotest.test_case "MP_CACHE_MAX_MB" `Quick test_cache_gc_env;
-         Alcotest.test_case "shard layout + legacy migration" `Quick
-           test_disk_cache_shard_layout_and_migration ]);
+         Alcotest.test_case "shard layout" `Quick test_disk_cache_shard_layout;
+         Alcotest.test_case "replay store pruned and gc'd" `Quick
+           test_replay_store_housekeeping ]);
       ("structural keys",
        [ Alcotest.test_case "equivalence classes" `Quick
            test_key_equivalence_classes;
