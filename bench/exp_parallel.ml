@@ -196,7 +196,7 @@ let procpool_curve (ctx : Context.t) machine jobs =
       (0, 0) jobs
   in
   let rec0 = Machine.jobs_recovered () in
-  let sent0 = Mp_util.Procpool.frames_sent () in
+  let sent0 = Mp_util.Workerpool.frames_sent () in
   let entries =
     List.map
       (fun (w, d) ->
@@ -222,7 +222,7 @@ let procpool_curve (ctx : Context.t) machine jobs =
       procpool_combos
   in
   let recovered = Machine.jobs_recovered () - rec0 in
-  let dispatched = Mp_util.Procpool.frames_sent () > sent0 in
+  let dispatched = Mp_util.Workerpool.frames_sent () > sent0 in
   let time_of w d =
     List.find_map
       (fun (w', d', t) -> if w' = w && d' = d then Some t else None)
@@ -310,7 +310,7 @@ let netpool_curve (ctx : Context.t) machine jobs =
   let port = free_port () in
   let pid = Shard_exec.spawn_worker ~port () in
   let rec0 = Machine.jobs_recovered () in
-  let nf0 = Mp_util.Netpool.frames_sent () in
+  let nf0 = Mp_util.Workerpool.frames_sent () in
   let t_remote =
     Fun.protect
       ~finally:(fun () ->
@@ -334,7 +334,7 @@ let netpool_curve (ctx : Context.t) machine jobs =
             dt))
   in
   let recovered = Machine.jobs_recovered () - rec0 in
-  let dispatched = Mp_util.Netpool.frames_sent () > nf0 in
+  let dispatched = Mp_util.Workerpool.frames_sent () > nf0 in
   Context.record_metric ctx "netpool_local_seconds" t_local;
   Context.record_metric ctx "netpool_remote_seconds" t_remote;
   Context.record_metric ctx "netpool_dispatched" (if dispatched then 1. else 0.);
@@ -428,7 +428,7 @@ let sched_skew_curve (ctx : Context.t) =
     Shard_exec.spawn_worker ~env:[ ("MP_POOL_SIZE", "1") ] ~port ()
   in
   let rec0 = Machine.jobs_recovered () in
-  let sent0 = Mp_util.Procpool.frames_sent () + Mp_util.Netpool.frames_sent () in
+  let sent0 = Mp_util.Workerpool.frames_sent () in
   let t_dynamic =
     Fun.protect
       ~finally:(fun () ->
@@ -464,9 +464,7 @@ let sched_skew_curve (ctx : Context.t) =
             t_dynamic))
   in
   let recovered = Machine.jobs_recovered () - rec0 in
-  let dispatched =
-    Mp_util.Procpool.frames_sent () + Mp_util.Netpool.frames_sent () > sent0
-  in
+  let dispatched = Mp_util.Workerpool.frames_sent () > sent0 in
   (* "genuinely fanned out": frames actually crossed process
      boundaries, nothing had to be recovered, the injected skew really
      was one-sided (heavy on one slot, light work elsewhere), and the

@@ -158,12 +158,9 @@ let () =
        or quick run records nothing else *)
     Context.record_metric ctx "pool_size"
       (float_of_int (Mp_util.Parallel.size ctx.Context.pool));
-    (* requested vs effective: an explicit MP_POOL_SIZE pin is honoured
-       verbatim, anything else is capped at the detected core count —
-       recording both makes an oversubscribed or capped pool visible in
-       the artifact *)
-    Context.record_metric ctx "pool_size_requested"
-      (float_of_int (Mp_util.Parallel.requested_size ()));
+    (* an explicit MP_POOL_SIZE pin is honoured verbatim, anything else
+       is the detected core count — recording both makes an
+       oversubscribed pool visible in the artifact *)
     Context.record_metric ctx "pool_size_effective"
       (float_of_int (Mp_util.Parallel.default_size ()));
     Context.record_metric ctx "detected_cores"
@@ -199,31 +196,24 @@ let () =
     Context.record_metric ctx "key_digest_seconds"
       (Microprobe.Measurement_cache.key_seconds ());
     (* process-level sharding telemetry: the MP_PROCS knob as resolved,
-       the shared pool actually built, frames over the worker pipes,
-       and the crash-recovery counters (both zero in a healthy run) *)
+       the shared pool's local and remote slots, frames and bytes over
+       every worker slot (subprocess or TCP peer), and the
+       crash-recovery counters — respawns plus reconnects, and jobs
+       re-run in-process (both zero in a healthy run) *)
     Context.record_metric ctx "procs_requested"
       (float_of_int (Microprobe.Shard_exec.env_procs ()));
     Context.record_metric ctx "procs_effective"
       (float_of_int (Microprobe.Shard_exec.global_size ()));
-    Context.record_metric ctx "proc_respawns"
-      (float_of_int (Mp_util.Procpool.respawn_count ()));
+    Context.record_metric ctx "worker_reopens"
+      (float_of_int (Mp_util.Workerpool.reopen_count ()));
     Context.record_metric ctx "jobs_recovered"
       (float_of_int (Microprobe.Machine.jobs_recovered ()));
     Context.record_metric ctx "frames_sent"
-      (float_of_int (Mp_util.Procpool.frames_sent ()));
+      (float_of_int (Mp_util.Workerpool.frames_sent ()));
     Context.record_metric ctx "frames_received"
-      (float_of_int (Mp_util.Procpool.frames_received ()));
-    (* socket-transport telemetry: frames and bytes over TCP peers
-       (loopback smoke plus any MP_HOSTS peers), reconnects after peer
-       loss, and the remote slot count of the current global pool *)
-    Context.record_metric ctx "net_frames_sent"
-      (float_of_int (Mp_util.Netpool.frames_sent ()));
-    Context.record_metric ctx "net_frames_received"
-      (float_of_int (Mp_util.Netpool.frames_received ()));
-    Context.record_metric ctx "net_bytes"
-      (float_of_int (Mp_util.Netpool.bytes_transferred ()));
-    Context.record_metric ctx "net_reconnects"
-      (float_of_int (Mp_util.Netpool.reconnect_count ()));
+      (float_of_int (Mp_util.Workerpool.frames_received ()));
+    Context.record_metric ctx "worker_bytes"
+      (float_of_int (Mp_util.Workerpool.bytes_transferred ()));
     Context.record_metric ctx "hosts_effective"
       (float_of_int (Microprobe.Shard_exec.global_remote_size ()));
     (* shard scheduling: duplicate chunk copies dispatched to idle

@@ -318,16 +318,13 @@ let sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
       ~width
       ~min_jobs_per_core:(Mp_util.Parallel.env_min_jobs_per_core ())
   in
-  let pool =
-    if not fan_out then None
-    else
+  if not fan_out then in_process jobs
+  else
+    let p =
       match shard_pool with
-      | Some p -> Some p
+      | Some p -> p
       | None -> Shard_exec.get_pool ~hosts procs
-  in
-  match pool with
-  | None -> in_process jobs
-  | Some p ->
+    in
     let res =
       Shard_exec.run_jobs p ~spec:(spec t) ~warmup ~measure ?period
         (List.map

@@ -122,7 +122,7 @@ let env_hosts () =
 
 (* Chunk frames kept in flight per slot. Workers serve strictly one
    request at a time, so the second outstanding frame sits in the
-   pipe/socket buffer — its transfer and decode overlap the previous
+   socket buffer — its transfer and decode overlap the previous
    chunk's compute. *)
 let inflight = 2
 
@@ -147,7 +147,7 @@ let env_speculate () =
 
 (* ----- per-slot telemetry ------------------------------------------------- *)
 
-(* Cumulative per endpoint label over every batch in the process, so
+(* Cumulative per slot label over every batch in the process, so
    the bench harness can report where the work actually ran (and how
    often speculation fired) without threading pool handles around. *)
 
@@ -210,7 +210,7 @@ let chunks_cancelled () =
 
 (* the handshake both ends of a TCP connection must present: protocol
    tag plus the measurement-cache namespace (schema version + binary
-   digest) — the same guard the pipe transport checks per-request,
+   digest) — the same guard every request frame carries,
    moved to connect time so an incompatible peer is rejected before any
    closure-bearing frame is decoded *)
 let net_handshake () =
@@ -239,7 +239,7 @@ let executor : (request -> Measurement.t array) option ref = ref None
 
 let install_executor f = executor := Some f
 
-(* One request → one response, shared by the pipe worker and the TCP
+(* One request → one response, shared by the subprocess worker and the TCP
    server. The namespace check is per-request even though the TCP path
    also handshakes at connect time: requests carry Marshal'd closures,
    so it is checked as close to the decode as possible. *)
@@ -317,7 +317,7 @@ let worker_main () =
 
 (* [serve] turns this process into a persistent remote worker: bind,
    accept one coordinator at a time, handshake, run the same frame loop
-   the pipe worker runs. SIGTERM/SIGINT set a stop flag instead of
+   the subprocess worker runs. SIGTERM/SIGINT set a stop flag instead of
    killing the process, so an in-flight request finishes and its
    response is delivered before we exit — the coordinator never loses a
    job to a polite shutdown. *)
@@ -346,8 +346,8 @@ let serve ?(host = "0.0.0.0") ~port () =
     Unix.set_close_on_exec fd;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
     let accepted =
-      (* mirror of Netpool's connect-side handshake: read theirs, echo
-         ours; byte-inequality rejects the connection before any
+      (* mirror of Workerpool's connect-side handshake: read theirs,
+         echo ours; byte-inequality rejects the connection before any
          closure-bearing frame is decoded *)
       match Mp_util.Transport.read_frame ~timeout_s:10.0 fd with
       | Some theirs when Bytes.equal theirs hs ->
@@ -381,7 +381,7 @@ let serve ?(host = "0.0.0.0") ~port () =
    worker. Never returns in a worker process. MP_NET_WORKER holds
    "port" or "host:port" and turns the process into a TCP worker (used
    by [spawn_worker] for loopback workers in tests and benches);
-   MP_SHARD_WORKER=1 keeps the pipe protocol over stdin/stdout. *)
+   MP_SHARD_WORKER=1 serves frames over stdin/stdout. *)
 let maybe_become_worker () =
   if Sys.getenv_opt worker_env_var = Some "1" then begin
     worker_main ();
@@ -422,7 +422,7 @@ let spawn_worker ?(env = []) ?(host = "127.0.0.1") ?(ready_timeout_s = 30.0)
     (net_worker_env_var, Printf.sprintf "%s:%d" host port)
     :: (("MP_PROCS", "0") :: env)
   in
-  let envp = Mp_util.Procpool.child_env env in
+  let envp = Mp_util.Workerpool.child_env env in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let pid =
     Fun.protect
@@ -469,14 +469,13 @@ let spawn_worker ?(env = []) ?(host = "127.0.0.1") ?(ready_timeout_s = 30.0)
 
 (* ----- coordinator side -------------------------------------------------- *)
 
-(* A mixed pool: slots [0, local) are worker subprocesses behind pipes,
-   slots [local, local+remote) are TCP peers. The shard fold neither
+(* A mixed pool: slots [0, procs) are worker subprocesses, the rest are
+   TCP peers, all driven through one Workerpool. The shard fold neither
    knows nor cares which kind a slot is — placement depends only on the
    slot count, so an all-local, all-remote, or mixed pool of the same
    size shards identically. *)
 type pool = {
-  pp : Mp_util.Procpool.t option;
-  np : Mp_util.Netpool.t option;
+  workers : Mp_util.Workerpool.t;
   hosts : (string * int) list;
   timeout_s : float;
 }
@@ -491,49 +490,21 @@ let create_pool ?(env = []) ?timeout_s ?(hosts = []) n =
         ("MP_HOSTS", "");
       ]
   in
-  let pp =
-    if n > 0 then
-      Some (Mp_util.Procpool.create ~env ~prog:Sys.executable_name ~args:[] n)
-    else None
-  in
-  let np =
-    if hosts <> [] then
-      Some (Mp_util.Netpool.create ~handshake:(net_handshake ()) hosts)
-    else None
-  in
   {
-    pp;
-    np;
+    workers =
+      Mp_util.Workerpool.create ~env ~hosts ~handshake:(net_handshake ()) n;
     hosts;
     timeout_s = (match timeout_s with Some s -> s | None -> env_timeout_s ());
   }
 
-let local_size p =
-  match p.pp with Some pp -> Mp_util.Procpool.size pp | None -> 0
+let pool_size p = Mp_util.Workerpool.size p.workers
 
-let remote_size p =
-  match p.np with Some np -> Mp_util.Netpool.size np | None -> 0
+let workers p = p.workers
 
-let pool_size p = local_size p + remote_size p
-
-let procpool p =
-  match p.pp with
-  | Some pp -> pp
-  | None -> invalid_arg "Shard_exec.procpool: pool has no local workers"
-
-let netpool p = p.np
-
-let slot_endpoint p s =
-  let local = local_size p in
-  if s < local then Mp_util.Procpool.endpoint (Option.get p.pp) s
-  else Mp_util.Netpool.endpoint (Option.get p.np) (s - local)
-
-let shutdown_pool p =
-  Option.iter Mp_util.Procpool.shutdown p.pp;
-  Option.iter Mp_util.Netpool.shutdown p.np
+let shutdown_pool p = Mp_util.Workerpool.shutdown p.workers
 
 (* One sharded dispatch at a time per coordinator: each slot's
-   pipe/socket carries one request/response conversation (a window of
+   socket carries one request/response conversation (a window of
    pipelined frames), so interleaving two batches over the same pool
    would cross their frames. *)
 let dispatch_lock = Mutex.create ()
@@ -622,8 +593,10 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
     buckets;
   let chunks = Array.of_list (List.rev !rev_chunks) in
   let live_left = ref (Array.length chunks) in
-  let ep = Array.init slots (slot_endpoint p) in
+  let wp = p.workers in
   let live = Array.make slots true in
+  (* slots whose last refill found the buffer full *)
+  let blocked = Array.make slots false in
   let requeue = Queue.create () in
   let inflightq = Array.make slots [] in (* oldest dispatch first *)
   let deadline = Array.make slots infinity in
@@ -645,7 +618,7 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
     if live.(s) then begin
       live.(s) <- false;
       flush_busy s (now ());
-      Mp_util.Transport.reap ep.(s);
+      Mp_util.Workerpool.reap wp s;
       (* copies lost with the slot re-enter the queue — unless another
          copy is still running (speculation) or the chunk already
          finished *)
@@ -683,7 +656,7 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
       end;
       `Chunk_failed
     | payload ->
-      if Mp_util.Transport.send ~timeout_s:p.timeout_s ep.(s) payload then begin
+      if Mp_util.Workerpool.send ~timeout_s:p.timeout_s wp s payload then begin
         let t = now () in
         if c.c_copies = 0 then c.c_first_sent <- t;
         c.c_copies <- c.c_copies + 1;
@@ -747,7 +720,7 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
     !best
   in
   let recv_one s =
-    match Mp_util.Transport.recv ~timeout_s:p.timeout_s ep.(s) with
+    match Mp_util.Workerpool.recv ~timeout_s:p.timeout_s wp s with
     | None -> fail_slot s
     | Some payload ->
       (match (Marshal.from_bytes payload 0 : response) with
@@ -807,8 +780,9 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
         let rec fill () =
           if live.(s) && List.length inflightq.(s) < inflight then begin
             let can_send =
-              inflightq.(s) = [] || Mp_util.Transport.writable ep.(s)
+              inflightq.(s) = [] || Mp_util.Workerpool.writable wp s
             in
+            blocked.(s) <- not can_send;
             if can_send then (
               match next_work s with
               | Some c -> (
@@ -835,20 +809,24 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
       done;
       (* collect: wait for any completion, bounded by the nearest slot
          deadline (a slot that goes silent for timeout_s between frames
-         is declared dead and its chunks re-queued) *)
+         is declared dead and its chunks re-queued), or for a blocked
+         slot's buffer to drain — its worker has taken the frame in
+         flight, so the next one can go out while that chunk computes *)
       let waiting = ref [] in
       for s = slots - 1 downto 0 do
-        if live.(s) && inflightq.(s) <> [] then
-          waiting := (s, ep.(s)) :: !waiting
+        if live.(s) && inflightq.(s) <> [] then waiting := s :: !waiting
       done;
       if !waiting <> [] then begin
         let t = now () in
         let nearest =
-          List.fold_left (fun a (s, _) -> Float.min a deadline.(s)) infinity
-            !waiting
+          List.fold_left (fun a s -> Float.min a deadline.(s)) infinity !waiting
         in
         let tick = Float.max 0.0 (Float.min 0.25 (nearest -. t)) in
-        let ready = Mp_util.Transport.select_readable ~timeout_s:tick !waiting in
+        let ready =
+          Mp_util.Workerpool.select_readable ~timeout_s:tick
+            ~or_writable:(List.filter (fun s -> blocked.(s)) !waiting)
+            wp !waiting
+        in
         List.iter (fun s -> if live.(s) then recv_one s) ready;
         let t = now () in
         for s = 0 to slots - 1 do
@@ -873,15 +851,15 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
   let rec drain () =
     let waiting = ref [] in
     for s = slots - 1 downto 0 do
-      if live.(s) && inflightq.(s) <> [] then waiting := (s, ep.(s)) :: !waiting
+      if live.(s) && inflightq.(s) <> [] then waiting := s :: !waiting
     done;
     if !waiting <> [] then begin
       let left = drain_deadline -. now () in
-      if left <= 0.0 then List.iter (fun (s, _) -> fail_slot s) !waiting
+      if left <= 0.0 then List.iter fail_slot !waiting
       else begin
         let ready =
-          Mp_util.Transport.select_readable ~timeout_s:(Float.min left 0.1)
-            !waiting
+          Mp_util.Workerpool.select_readable ~timeout_s:(Float.min left 0.1)
+            wp !waiting
         in
         List.iter (fun s -> if live.(s) then recv_one s) ready;
         drain ()
@@ -895,7 +873,7 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
     (fun s a ->
       flush_busy s t_end;
       record_slot_stat
-        (Mp_util.Transport.label ep.(s))
+        (Mp_util.Workerpool.label wp s)
         {
           sl_jobs = a.a_jobs;
           sl_chunks = a.a_chunks;
@@ -929,32 +907,24 @@ let shutdown_global () =
 let () = at_exit shutdown_global
 
 let get_pool ?(hosts = []) n =
-  Mutex.lock global_lock;
-  let recreate () =
-    match create_pool ~hosts n with
-    | p ->
-      global := Some p;
-      Some p
-    | exception _ -> None
-  in
-  let p =
-    match !global with
-    | Some p when p.hosts = hosts && (n = 0 || p.pp <> None) ->
-      Option.iter (fun pp -> Mp_util.Procpool.ensure_size pp n) p.pp;
-      Some p
-    | Some p ->
-      (* the host set changed (or local workers are now needed where
-         there were none): replace the pool rather than serve a stale
-         topology — shard placement depends on the slot count *)
-      global := None;
-      shutdown_pool p;
-      recreate ()
-    | None -> recreate ()
-  in
-  Mutex.unlock global_lock;
-  p
+  Mutex.protect global_lock (fun () ->
+      match !global with
+      | Some p when p.hosts = hosts ->
+        (* grown under the dispatch lock, so a batch in flight never
+           sees its slot indices shift *)
+        Mutex.protect dispatch_lock (fun () ->
+            Mp_util.Workerpool.ensure_size p.workers n);
+        p
+      | stale ->
+        (* the host set changed: replace the pool rather than serve a
+           stale topology — shard placement depends on the slot count *)
+        Option.iter shutdown_pool stale;
+        let p = create_pool ~hosts n in
+        global := Some p;
+        p)
 
-let global_size () = match !global with Some p -> local_size p | None -> 0
+let global_size () =
+  match !global with Some p -> Mp_util.Workerpool.procs p.workers | None -> 0
 
 let global_remote_size () =
-  match !global with Some p -> remote_size p | None -> 0
+  match !global with Some p -> List.length p.hosts | None -> 0

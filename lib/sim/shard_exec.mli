@@ -2,14 +2,14 @@
     process-level fan-out above {!Mp_util.Parallel}'s domain pool.
 
     A coordinator shards a (deduplicated) measurement batch across a
-    mixed pool of workers: {e subprocesses} (re-execs of the current
-    executable, flagged by [MP_SHARD_WORKER], driven over pipes by
-    {!Mp_util.Procpool}) and {e remote peers} (the same executable
-    running [microprobe worker --listen], driven over TCP by
-    {!Mp_util.Netpool}). Jobs are placed by their programs' structural
-    hashes, so the same structural program always lands on the same
-    worker — that worker's replay table and warm cache accumulate
-    exactly the records the program will ask for again; placement
+    mixed {!Mp_util.Workerpool} of {e subprocesses} (re-execs of the
+    current executable, flagged by [MP_SHARD_WORKER], each talking
+    frames over its stdin/stdout) and {e remote peers} (the same
+    executable running [microprobe worker --listen], over TCP). Jobs
+    are placed by their programs' structural hashes, so the same
+    structural program always lands on the same worker — that
+    worker's replay table and warm cache accumulate exactly the
+    records the program will ask for again; placement
     depends only on the slot count, never on a slot's transport.
     Results stream back and are scattered positionally; execution is
     bit-identical to in-process evaluation (measurements are
@@ -20,7 +20,7 @@
     {2 Wire protocol}
 
     Length-prefixed [Marshal] frames ({!Mp_util.Transport} owns the
-    codec; pipes and sockets speak the identical format). Requests
+    codec; every slot speaks the identical format). Requests
     carry the sender's {!Measurement_cache.namespace} — schema version
     plus a digest of the executable, the same guard the disk cache
     uses — and are written with [Marshal.Closures] (the uarch's
@@ -43,9 +43,9 @@
     no live slot could complete, and the caller ({!Machine.run_batch})
     re-runs exactly those jobs in its own domain pool — a dying worker
     degrades to a slower batch, never a failed or wrong one. The next
-    dispatch respawns a subprocess slot transparently; a remote slot
-    reconnects with capped backoff (the worker process itself is out
-    of our hands). *)
+    dispatch respawns a subprocess slot or reconnects a remote one
+    (the remote worker process itself is out of our hands); a slot
+    whose open failed backs off before the next attempt. *)
 
 (** Everything needed to reconstruct an equivalent [Machine.t] in the
     worker (the worker memoizes machines per spec, so consecutive
@@ -127,7 +127,7 @@ val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
 
 (** {3 Per-slot telemetry}
 
-    Cumulative per endpoint label ([proc:N] or [host:port]) over every
+    Cumulative per slot label ([proc:N] or [host:port]) over every
     sharded batch in the process. *)
 
 type slot_stat = {
@@ -152,8 +152,9 @@ val chunks_cancelled : unit -> int
 (** Sum of [sl_cancelled] over all slots. *)
 
 val in_worker_process : unit -> bool
-(** True when this process was spawned as a shard worker (pipe or TCP)
-    or is currently serving remote coordinators via {!serve}. *)
+(** True when this process was spawned as a shard worker (subprocess
+    or TCP) or is currently serving remote coordinators via
+    {!serve}. *)
 
 val shard_index : shards:int -> Mp_codegen.Ir.t list -> int
 (** The placement function: an FNV fold of the per-thread programs'
@@ -181,11 +182,11 @@ val serve : ?host:string -> port:int -> unit -> unit
 (** Run this process as a persistent TCP worker: bind [host:port]
     (default [0.0.0.0], [SO_REUSEADDR]), accept one coordinator at a
     time, require the namespace handshake on each connection, then run
-    the same frame loop the pipe worker runs. SIGTERM/SIGINT request a
-    graceful drain: an in-flight request finishes and its response is
-    delivered, then [serve] returns (within 0.25 s when idle). The
-    process must not fan out while serving ({!env_procs}/{!env_hosts}
-    report 0/[[]] for its lifetime). *)
+    the same frame loop the subprocess worker runs. SIGTERM/SIGINT
+    request a graceful drain: an in-flight request finishes and its
+    response is delivered, then [serve] returns (within 0.25 s when
+    idle). The process must not fan out while serving
+    ({!env_procs}/{!env_hosts} report 0/[[]] for its lifetime). *)
 
 val spawn_worker :
   ?env:(string * string) list -> ?host:string -> ?ready_timeout_s:float ->
@@ -207,27 +208,21 @@ val create_pool :
   ?hosts:(string * int) list -> int -> pool
 (** A mixed pool: [n] worker subprocesses (re-execs of
     [Sys.executable_name]; none when [n = 0]) in slots [0..n-1],
-    followed by one TCP peer per [hosts] entry. [env] adds environment
-    overrides for the subprocess workers — the bench harness uses
-    [("MP_POOL_SIZE", d)] to control each worker's domain count; the
-    worker flag, [MP_PROCS=0] and [MP_HOSTS=""] are always set (remote
-    peers bring their own environment). [timeout_s] defaults to
+    followed by one TCP peer per [hosts] entry, each peer required to
+    echo the namespace handshake. Nothing is spawned or connected until
+    a slot's first dispatch. [env] adds environment overrides for the
+    subprocess workers — the bench harness uses [("MP_POOL_SIZE", d)]
+    to control each worker's domain count; the worker flag,
+    [MP_PROCS=0] and [MP_HOSTS=""] are always set (remote peers bring
+    their own environment). [timeout_s] defaults to
     {!env_timeout_s}. *)
 
 val pool_size : pool -> int
 (** Local + remote slots — the [shards] the placement fold sees. *)
 
-val local_size : pool -> int
-
-val remote_size : pool -> int
-
-val procpool : pool -> Mp_util.Procpool.t
-(** The pipe transport, exposed for tests (crash injection via
-    {!Mp_util.Procpool.kill}) and telemetry. Raises [Invalid_argument]
-    when the pool has no local workers. *)
-
-val netpool : pool -> Mp_util.Netpool.t option
-(** The socket transport, when the pool has remote peers. *)
+val workers : pool -> Mp_util.Workerpool.t
+(** The slots, exposed for tests (opening a slot and crash injection
+    via {!Mp_util.Workerpool.kill}). *)
 
 val shutdown_pool : pool -> unit
 (** Shut down subprocess workers and close every remote connection.
@@ -264,12 +259,12 @@ val run_jobs :
 
 (** {2 The shared pool} *)
 
-val get_pool : ?hosts:(string * int) list -> int -> pool option
+val get_pool : ?hosts:(string * int) list -> int -> pool
 (** The process-wide pool, created on first use and grown (never
-    shrunk) to at least [n] local workers; [None] when spawning
-    failed. When the requested [hosts] differ from the live pool's the
-    pool is replaced (shard placement depends on the slot count, so a
-    stale topology must not be served). Shut down at exit. *)
+    shrunk) to at least [n] local workers. When the requested [hosts]
+    differ from the live pool's the pool is replaced (shard placement
+    depends on the slot count, so a stale topology must not be
+    served). Shut down at exit. *)
 
 val global_size : unit -> int
 (** Local workers in the shared pool ([0] when it was never created) —

@@ -371,18 +371,12 @@ let env_size () =
      | _ -> None)
   | None -> None
 
-let requested_size () =
-  match env_size () with Some n -> n | None -> detected_cores ()
-
 (* An explicit MP_POOL_SIZE is honoured verbatim (deliberate pinning,
-   e.g. oversubscription experiments); any other request is capped at
-   the detected core count so a stale default can never put more
-   workers than cores on a small box — the pathology behind a 4-worker
-   pool "achieving" a 0.3x speedup on one core. *)
+   e.g. oversubscription experiments); otherwise the pool gets one
+   worker per detected core, never more — the pathology behind a
+   4-worker pool "achieving" a 0.3x speedup on one core. *)
 let default_size () =
-  match env_size () with
-  | Some n -> n
-  | None -> min (requested_size ()) (detected_cores ())
+  match env_size () with Some n -> n | None -> detected_cores ()
 
 let global_pool = ref None
 let global_lock = Mutex.create ()

@@ -134,18 +134,11 @@ val detected_cores : unit -> int
 (** Cores available to this process
     ([Domain.recommended_domain_count ()]). *)
 
-val requested_size : unit -> int
-(** The pool size the environment asks for: [MP_POOL_SIZE] when set to
-    a positive integer, otherwise {!detected_cores}. Reported alongside
-    the effective size in BENCH_sim.json so an oversubscribed or capped
-    pool is visible in the artifact. *)
-
 val default_size : unit -> int
-(** The {e effective} pool size used by {!global}: an explicit
-    [MP_POOL_SIZE] verbatim (deliberate pinning is honoured, even past
-    the core count), otherwise {!requested_size} capped at
-    {!detected_cores} — a pool never oversubscribes a small machine by
-    default. *)
+(** The pool size used by {!global}: an explicit [MP_POOL_SIZE]
+    verbatim (deliberate pinning is honoured, even past the core
+    count), otherwise {!detected_cores} — a pool never oversubscribes
+    a small machine by default. *)
 
 val global : unit -> t
 (** The process-wide shared pool, created on first use with

@@ -1,35 +1,33 @@
-(* The byte-level frame codec shared by every worker transport. A frame
+(* The byte-level frame codec every worker transport speaks. A frame
    is a 4-byte big-endian length followed by the payload; the 1 GiB
    guard bounds the damage a corrupt header can do — the reader fails
-   the peer instead of trying to allocate gigabytes. Both the pipe
-   transport (Procpool) and the socket transport (Netpool) speak
-   exactly this format, so a worker loop written against one keeps
-   working over the other. *)
+   the peer instead of trying to allocate gigabytes. Subprocess and TCP
+   slots of a Workerpool, and the worker loop on the far side, all
+   speak exactly this format. *)
 
 let max_frame_bytes = 1 lsl 30
 
 let frame_header_bytes = 4
 
-(* writes with an optional absolute deadline: callers hand us
-   non-blocking fds, so a peer that stopped reading surfaces as EAGAIN +
-   select timeout instead of wedging the coordinator forever *)
+(* Callers hand us non-blocking fds, so a peer that stopped reading
+   surfaces as EAGAIN: wait in select until the fd drains — until the
+   optional absolute deadline, or for as long as it takes without one —
+   instead of spinning on the write. *)
 let rec write_all ?deadline fd buf off len =
-  if len > 0 then begin
-    (match deadline with
-     | Some d ->
-       let left = d -. Unix.gettimeofday () in
-       if left <= 0.0 then raise (Unix.Unix_error (Unix.ETIMEDOUT, "write", ""));
-       (match Unix.select [] [ fd ] [] left with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | _, [], _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "write", ""))
-        | _ -> ())
-     | None -> ());
+  if len > 0 then
     match Unix.write fd buf off len with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      write_all ?deadline fd buf off len
     | n -> write_all ?deadline fd buf (off + n) (len - n)
-  end
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+      write_all ?deadline fd buf off len
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      let wait =
+        match deadline with None -> -1.0 | Some d -> d -. Unix.gettimeofday ()
+      in
+      if deadline <> None && wait <= 0.0 then
+        raise (Unix.Unix_error (Unix.ETIMEDOUT, "write", ""));
+      (try ignore (Unix.select [] [ fd ] [] wait)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      write_all ?deadline fd buf off len
 
 let write_frame ?deadline fd payload =
   let len = Bytes.length payload in
@@ -84,60 +82,3 @@ let read_frame ?timeout_s fd =
       | `Ok -> Some payload
       | `Eof | `Timeout -> None
     end
-
-(* ----- the transport interface ------------------------------------------- *)
-
-(* One addressable worker slot, however it is reached. Shard_exec's
-   coordinator drives a mixed pool of these without caring whether a
-   slot is a subprocess behind pipes or a TCP peer: send a frame, read
-   a frame, and on any failure declare the slot dead ([reap]) and
-   re-run its in-flight jobs elsewhere. *)
-type endpoint = {
-  ep_label : string;  (** for diagnostics, e.g. ["proc:3"] or ["10.0.0.2:7070"] *)
-  ep_send : ?timeout_s:float -> bytes -> bool;
-  ep_recv : ?timeout_s:float -> unit -> bytes option;
-  ep_reap : unit -> unit;
-  ep_rfd : unit -> Unix.file_descr option;
-  ep_wfd : unit -> Unix.file_descr option;
-}
-
-let send ?timeout_s ep payload = ep.ep_send ?timeout_s payload
-let recv ?timeout_s ep = ep.ep_recv ?timeout_s ()
-let reap ep = ep.ep_reap ()
-let label ep = ep.ep_label
-let read_fd ep = ep.ep_rfd ()
-let write_fd ep = ep.ep_wfd ()
-
-(* One select over many endpoints: the indices (into [eps]) of those
-   whose read side has data pending. Endpoints with no live read fd are
-   skipped — their slots are already dead or never connected. EINTR and
-   a select refused by the OS both report "nothing readable"; the
-   caller's deadline bookkeeping decides what that means. *)
-let select_readable ?(timeout_s = 0.0) eps =
-  let fds =
-    List.filter_map
-      (fun (i, ep) -> Option.map (fun fd -> (fd, i)) (ep.ep_rfd ()))
-      eps
-  in
-  match fds with
-  | [] -> []
-  | _ -> (
-    match Unix.select (List.map fst fds) [] [] timeout_s with
-    | exception _ -> []
-    | ready, _, _ ->
-      List.filter_map
-        (fun (fd, i) -> if List.memq fd ready then Some i else None)
-        fds)
-
-(* Zero-timeout writability probe: [true] means one more frame can
-   start without blocking the caller (the pipe/socket buffer has room).
-   Used by the pipelined dispatcher to avoid wedging the whole
-   scheduling loop on one slow slot's full buffer. A dead or
-   unconnected endpoint probes [false]. *)
-let writable ep =
-  match ep.ep_wfd () with
-  | None -> false
-  | Some fd -> (
-    match Unix.select [] [ fd ] [] 0.0 with
-    | exception _ -> false
-    | _, w, _ -> w <> [])

@@ -1,14 +1,10 @@
-(** The frame codec and endpoint interface shared by every worker
-    transport.
+(** The frame codec every worker transport speaks.
 
     Frames are a 4-byte big-endian length followed by the payload,
     bounded by a 1 GiB guard so a corrupt header cannot make the reader
-    allocate garbage. {!Procpool} (cloexec pipes to subprocesses) and
-    {!Netpool} (TCP sockets to remote peers) both speak exactly this
-    format — a worker loop written against one transport keeps working
-    over the other, and the coordinator in [Mp_sim.Shard_exec] drives a
-    mixed pool of {!endpoint}s without knowing which kind each slot
-    is. *)
+    allocate garbage. {!Workerpool}'s subprocess and TCP slots and the
+    worker loop in [Mp_sim.Shard_exec] all speak exactly this format
+    over plain fds. *)
 
 val max_frame_bytes : int
 (** 1 GiB. A header claiming more (or a negative length) makes
@@ -20,17 +16,11 @@ val frame_header_bytes : int
 
 val write_all : ?deadline:float -> Unix.file_descr -> bytes -> int -> int -> unit
 (** [write_all ?deadline fd buf off len] writes exactly [len] bytes,
-    retrying short writes and EAGAIN/EINTR. [deadline] is an absolute
+    retrying short writes and EINTR, and waiting in [select] whenever a
+    non-blocking [fd] reports EAGAIN. [deadline] is an absolute
     [Unix.gettimeofday] time; raises [Unix.Unix_error (ETIMEDOUT, _, _)]
     when it passes (the fd should be non-blocking for the deadline to be
-    honoured mid-write). *)
-
-val read_exact :
-  ?deadline:float -> Unix.file_descr -> bytes -> int -> int ->
-  [ `Ok | `Eof | `Timeout ]
-(** Read exactly [len] bytes or report why not. [`Eof] covers every
-    terminal failure (closed pipe, reset connection, read error): they
-    all mean "the peer is gone". *)
+    honoured mid-write). Without one the wait is unbounded but idle. *)
 
 val write_frame : ?deadline:float -> Unix.file_descr -> bytes -> unit
 (** Frame and write [payload]. Raises [Unix.Unix_error] on timeout or
@@ -38,50 +28,7 @@ val write_frame : ?deadline:float -> Unix.file_descr -> bytes -> unit
     {!max_frame_bytes}. *)
 
 val read_frame : ?timeout_s:float -> Unix.file_descr -> bytes option
-(** Read one frame. [None] on EOF, malformed length (negative or above
-    the guard — nothing is allocated for such a header), or when no
-    complete frame arrives within [timeout_s] (wait forever when
-    omitted). Never raises on wire-level garbage. *)
-
-(** {2 Endpoints}
-
-    One addressable worker slot, however it is reached. On any failure
-    the slot degrades to "this worker is gone": send/recv report
-    failure, the caller reaps the slot and re-runs whatever was in
-    flight. *)
-
-type endpoint = {
-  ep_label : string;
-  ep_send : ?timeout_s:float -> bytes -> bool;
-  ep_recv : ?timeout_s:float -> unit -> bytes option;
-  ep_reap : unit -> unit;
-  ep_rfd : unit -> Unix.file_descr option;
-      (** the fd a response frame will arrive on, while the slot is
-          live — what a multi-endpoint poll loop selects on; [None]
-          once reaped (or, for a lazy TCP peer, before it ever
-          connected) *)
-  ep_wfd : unit -> Unix.file_descr option;
-      (** the fd request frames are written to, for zero-timeout
-          writability probes before a pipelined dispatch *)
-}
-
-val send : ?timeout_s:float -> endpoint -> bytes -> bool
-val recv : ?timeout_s:float -> endpoint -> bytes option
-val reap : endpoint -> unit
-val label : endpoint -> string
-val read_fd : endpoint -> Unix.file_descr option
-val write_fd : endpoint -> Unix.file_descr option
-
-val select_readable : ?timeout_s:float -> (int * endpoint) list -> int list
-(** One [Unix.select] across many endpoints: the indices (the [int]
-    the caller paired each endpoint with) of those whose read side has
-    a frame (or EOF) pending after waiting at most [timeout_s]
-    (default [0.0] — pure poll). Endpoints without a live read fd are
-    skipped; EINTR reports nothing readable. This is the primitive
-    under [Mp_sim.Shard_exec]'s dynamic scheduler — completions from
-    any slot, pipe or socket, wake a single loop. *)
-
-val writable : endpoint -> bool
-(** Zero-timeout probe of the endpoint's write side: [true] when
-    another frame can start without blocking (buffer has room). [false]
-    for dead or not-yet-connected slots. *)
+(** Read one frame. [None] on EOF, a read error, malformed length
+    (negative or above the guard — nothing is allocated for such a
+    header), or when no complete frame arrives within [timeout_s] (wait
+    forever when omitted). Never raises on wire-level garbage. *)

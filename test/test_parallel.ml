@@ -147,26 +147,27 @@ let test_steal_counter () =
 
 let test_nested_map_degrades () =
   (* a map issued from inside a worker must degrade to sequential
-     execution instead of deadlocking on the pool's own queue *)
+     execution instead of deadlocking on the pool's own queue. Alcotest
+     is not domain-safe, so the jobs only report and the calling domain
+     asserts. *)
   let pool = Mp_util.Parallel.create 2 in
   let r =
     Mp_util.Parallel.map pool
       (fun x ->
-        Alcotest.(check bool) "inside worker" true (Mp_util.Parallel.in_worker ());
-        Mp_util.Parallel.map pool (fun y -> x * y) [ 1; 2; 3 ])
+        ( Mp_util.Parallel.in_worker (),
+          Mp_util.Parallel.map pool (fun y -> x * y) [ 1; 2; 3 ] ))
       [ 1; 2 ]
   in
   Mp_util.Parallel.shutdown pool;
+  Alcotest.(check (list bool)) "inside worker" [ true; true ] (List.map fst r);
   Alcotest.(check (list (list int))) "nested results"
     [ [ 1; 2; 3 ]; [ 2; 4; 6 ] ]
-    r
+    (List.map snd r)
 
 let test_default_size_env () =
   Unix.putenv "MP_POOL_SIZE" "3";
   (* an explicit pin is honoured verbatim, even past the core count *)
   Alcotest.(check int) "env override" 3 (Mp_util.Parallel.default_size ());
-  Alcotest.(check int) "requested follows env" 3
-    (Mp_util.Parallel.requested_size ());
   Unix.putenv "MP_POOL_SIZE" "not-a-number";
   Alcotest.(check bool) "garbage ignored" true
     (Mp_util.Parallel.default_size () >= 1);
@@ -175,8 +176,8 @@ let test_default_size_env () =
      count — a default pool must not oversubscribe a small machine *)
   let cores = Mp_util.Parallel.detected_cores () in
   Alcotest.(check bool) "cores detected" true (cores >= 1);
-  Alcotest.(check int) "requested = cores" cores
-    (Mp_util.Parallel.requested_size ());
+  Alcotest.(check int) "unpinned = cores" cores
+    (Mp_util.Parallel.default_size ());
   Alcotest.(check bool) "capped at cores" true
     (Mp_util.Parallel.default_size () <= cores)
 
@@ -352,45 +353,46 @@ let test_run_batch_pool_size_one () =
   Mp_util.Parallel.shutdown pool;
   check_identical "pool-1 vs serial" serial batch
 
-(* ----- process pool (transport) --------------------------------------------- *)
+(* ----- worker pool (transport) ---------------------------------------------- *)
 
 (* /bin/cat echoes bytes verbatim and the framing is symmetric, so a
    cat worker is a perfect protocol loopback for the transport layer. *)
-let cat_pool n = Mp_util.Procpool.create ~prog:"/bin/cat" ~args:[] n
+let cat_pool n = Mp_util.Workerpool.create ~prog:"/bin/cat" n
 
 let test_procpool_echo () =
   let p = cat_pool 2 in
   let payload = Bytes.of_string "hello frames" in
-  Alcotest.(check bool) "send 0" true (Mp_util.Procpool.send p 0 payload);
-  Alcotest.(check bool) "send 1" true (Mp_util.Procpool.send p 1 payload);
-  (match Mp_util.Procpool.recv ~timeout_s:10.0 p 0 with
+  Alcotest.(check bool) "send 0" true (Mp_util.Workerpool.send p 0 payload);
+  Alcotest.(check bool) "send 1" true (Mp_util.Workerpool.send p 1 payload);
+  (match Mp_util.Workerpool.recv ~timeout_s:10.0 p 0 with
    | Some b ->
      Alcotest.(check string) "echo 0" "hello frames" (Bytes.to_string b)
    | None -> Alcotest.fail "worker 0 did not echo");
-  (match Mp_util.Procpool.recv ~timeout_s:10.0 p 1 with
+  (match Mp_util.Workerpool.recv ~timeout_s:10.0 p 1 with
    | Some b ->
      Alcotest.(check string) "echo 1" "hello frames" (Bytes.to_string b)
    | None -> Alcotest.fail "worker 1 did not echo");
-  Mp_util.Procpool.shutdown p
+  Mp_util.Workerpool.shutdown p
 
 let test_procpool_timeout_respawn () =
   let p = cat_pool 1 in
-  let r0 = Mp_util.Procpool.respawn_count () in
+  Alcotest.(check bool) "slot opened" true (Mp_util.Workerpool.open_slot p 0);
+  let r0 = Mp_util.Workerpool.reopen_count () in
   (* nothing was sent: a bounded recv must time out and reap the slot *)
   Alcotest.(check bool) "timeout recv" true
-    (Mp_util.Procpool.recv ~timeout_s:0.2 p 0 = None);
-  Alcotest.(check bool) "slot reaped" true (Mp_util.Procpool.pid p 0 = None);
+    (Mp_util.Workerpool.recv ~timeout_s:0.2 p 0 = None);
+  Alcotest.(check bool) "slot reaped" true (Mp_util.Workerpool.pid p 0 = None);
   (* the next send respawns transparently and the exchange works again *)
   let payload = Bytes.of_string "back" in
   Alcotest.(check bool) "send respawns" true
-    (Mp_util.Procpool.send p 0 payload);
+    (Mp_util.Workerpool.send p 0 payload);
   Alcotest.(check bool) "respawn counted" true
-    (Mp_util.Procpool.respawn_count () > r0);
-  (match Mp_util.Procpool.recv ~timeout_s:10.0 p 0 with
+    (Mp_util.Workerpool.reopen_count () > r0);
+  (match Mp_util.Workerpool.recv ~timeout_s:10.0 p 0 with
    | Some b ->
      Alcotest.(check string) "echo after respawn" "back" (Bytes.to_string b)
    | None -> Alcotest.fail "respawned worker did not echo");
-  Mp_util.Procpool.shutdown p
+  Mp_util.Workerpool.shutdown p
 
 let test_procpool_truncated_frame () =
   let p = cat_pool 1 in
@@ -400,28 +402,53 @@ let test_procpool_truncated_frame () =
   Bytes.set_int32_be junk 0 64l;
   Bytes.blit_string "abc" 0 junk 4 3;
   Alcotest.(check bool) "raw bytes written" true
-    (Mp_util.Procpool.send_raw p 0 junk);
-  Mp_util.Procpool.kill p 0;
+    (Mp_util.Workerpool.send_raw p 0 junk);
+  Mp_util.Workerpool.kill p 0;
   Alcotest.(check bool) "truncated frame rejected" true
-    (Mp_util.Procpool.recv ~timeout_s:10.0 p 0 = None);
+    (Mp_util.Workerpool.recv ~timeout_s:10.0 p 0 = None);
   Alcotest.(check bool) "slot reaped after kill" true
-    (Mp_util.Procpool.pid p 0 = None);
-  Mp_util.Procpool.shutdown p
+    (Mp_util.Workerpool.pid p 0 = None);
+  Mp_util.Workerpool.shutdown p
 
 let test_procpool_ensure_size () =
   let p = cat_pool 1 in
-  let r0 = Mp_util.Procpool.respawn_count () in
-  Mp_util.Procpool.ensure_size p 3;
-  Alcotest.(check int) "grown" 3 (Mp_util.Procpool.size p);
+  let r0 = Mp_util.Workerpool.reopen_count () in
+  Mp_util.Workerpool.ensure_size p 3;
+  Alcotest.(check int) "grown" 3 (Mp_util.Workerpool.size p);
   let payload = Bytes.of_string "new slot" in
   Alcotest.(check bool) "lazy spawn on send" true
-    (Mp_util.Procpool.send p 2 payload);
-  (match Mp_util.Procpool.recv ~timeout_s:10.0 p 2 with
+    (Mp_util.Workerpool.send p 2 payload);
+  (match Mp_util.Workerpool.recv ~timeout_s:10.0 p 2 with
    | Some b -> Alcotest.(check string) "echo" "new slot" (Bytes.to_string b)
    | None -> Alcotest.fail "grown slot did not echo");
   Alcotest.(check int) "lazy spawn is not a respawn" r0
-    (Mp_util.Procpool.respawn_count ());
-  Mp_util.Procpool.shutdown p
+    (Mp_util.Workerpool.reopen_count ());
+  Mp_util.Workerpool.shutdown p
+
+let test_slow_reader_send_idles () =
+  (* a worker that starts draining its stdin only after half a second:
+     a send without a deadline must wait for it in select, not spin on
+     EAGAIN for the whole wait *)
+  let p =
+    Mp_util.Workerpool.create ~prog:"/bin/sh"
+      ~args:[ "-c"; "sleep 0.5; exec cat >/dev/null" ] 1
+  in
+  Alcotest.(check bool) "slot opened" true (Mp_util.Workerpool.open_slot p 0);
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "4 MiB frame sent" true
+    (Mp_util.Workerpool.send p 0 (Bytes.make (4 lsl 20) 'x'));
+  let used = cpu () -. c0 and waited = Unix.gettimeofday () -. w0 in
+  Mp_util.Workerpool.shutdown p;
+  Alcotest.(check bool)
+    (Printf.sprintf "send waited for the reader (%.2f s)" waited)
+    true (waited > 0.2);
+  Alcotest.(check bool)
+    (Printf.sprintf "CPU while waiting under 0.1 s (%.3f s)" used)
+    true (used < 0.1)
 
 (* ----- multi-process run_batch ---------------------------------------------- *)
 
@@ -452,23 +479,25 @@ let test_run_batch_worker_crash_recovers () =
   let jobs = mixed_jobs a in
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  match Mp_sim.Shard_exec.get_pool 2 with
-  | None -> Alcotest.fail "could not create the shared shard pool"
-  | Some p ->
-    let rec0 = Machine.jobs_recovered () in
-    (* kill every worker mid-pool, exactly like a crash: each shard's
-       exchange fails and every job must be recovered in-process *)
-    Mp_util.Procpool.kill (Mp_sim.Shard_exec.procpool p) 0;
-    Mp_util.Procpool.kill (Mp_sim.Shard_exec.procpool p) 1;
-    let m2 = Machine.create ~cache:false a.Arch.uarch in
-    let batch = Machine.run_batch ~procs:2 m2 jobs in
-    check_identical "crashed workers vs serial" serial batch;
-    Alcotest.(check bool) "recoveries counted" true
-      (Machine.jobs_recovered () > rec0);
-    (* the next dispatch finds reaped slots and respawns them *)
-    let m3 = Machine.create ~cache:false a.Arch.uarch in
-    check_identical "respawned pool vs serial" serial
-      (Machine.run_batch ~procs:2 m3 jobs)
+  let w = Mp_sim.Shard_exec.(workers (get_pool 2)) in
+  let rec0 = Machine.jobs_recovered () in
+  (* kill every worker mid-pool, exactly like a crash: each shard's
+     exchange fails and every job must be recovered in-process *)
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) "worker spawned" true
+        (Mp_util.Workerpool.open_slot w i);
+      Mp_util.Workerpool.kill w i)
+    [ 0; 1 ];
+  let m2 = Machine.create ~cache:false a.Arch.uarch in
+  let batch = Machine.run_batch ~procs:2 m2 jobs in
+  check_identical "crashed workers vs serial" serial batch;
+  Alcotest.(check bool) "recoveries counted" true
+    (Machine.jobs_recovered () > rec0);
+  (* the next dispatch finds reaped slots and respawns them *)
+  let m3 = Machine.create ~cache:false a.Arch.uarch in
+  check_identical "respawned pool vs serial" serial
+    (Machine.run_batch ~procs:2 m3 jobs)
 
 (* ----- multi-host run_batch -------------------------------------------------- *)
 
@@ -503,7 +532,7 @@ let test_run_batch_remote_matches_serial () =
     (fun () ->
       let hosts = [ ("127.0.0.1", port) ] in
       let rec0 = Machine.jobs_recovered () in
-      let nf0 = Mp_util.Netpool.frames_sent () in
+      let nf0 = Mp_util.Workerpool.frames_sent () in
       (* remote-only pool: every fanned job crosses the socket *)
       let m2 = Machine.create ~cache:false a.Arch.uarch in
       check_identical "remote-only vs serial" serial
@@ -511,7 +540,7 @@ let test_run_batch_remote_matches_serial () =
       Alcotest.(check int) "no recoveries over a healthy peer" rec0
         (Machine.jobs_recovered ());
       Alcotest.(check bool) "request frames crossed the socket" true
-        (Mp_util.Netpool.frames_sent () > nf0);
+        (Mp_util.Workerpool.frames_sent () > nf0);
       (* mixed pool: one local subprocess plus the remote peer, same
          placement fold, still bit-identical *)
       let m3 = Machine.create ~cache:false a.Arch.uarch in
@@ -530,14 +559,10 @@ let test_run_batch_remote_crash_recovers () =
   let pid = Mp_sim.Shard_exec.spawn_worker ~port () in
   (* prime the connection so the SIGKILL severs an established peer
      (the hardest variant: the coordinator only learns at recv time) *)
-  (match Mp_sim.Shard_exec.get_pool ~hosts 0 with
-   | None -> Alcotest.fail "could not create the remote pool"
-   | Some p ->
-     (match Mp_sim.Shard_exec.netpool p with
-      | None -> Alcotest.fail "remote pool has no netpool"
-      | Some np ->
-        Alcotest.(check bool) "peer connected" true
-          (Mp_util.Netpool.connect ~retry_for_s:5.0 np 0)));
+  Alcotest.(check bool) "peer connected" true
+    (Mp_util.Workerpool.open_slot ~retry_for_s:5.0
+       Mp_sim.Shard_exec.(workers (get_pool ~hosts 0))
+       0);
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
   let rec0 = Machine.jobs_recovered () in
@@ -552,7 +577,7 @@ let test_run_batch_remote_crash_recovers () =
   Fun.protect
     ~finally:(fun () -> stop_worker pid2)
     (fun () ->
-      let rc0 = Mp_util.Netpool.reconnect_count () in
+      let rc0 = Mp_util.Workerpool.reopen_count () in
       let rec1 = Machine.jobs_recovered () in
       let m3 = Machine.create ~cache:false a.Arch.uarch in
       check_identical "reconnected peer vs serial" serial
@@ -560,7 +585,69 @@ let test_run_batch_remote_crash_recovers () =
       Alcotest.(check int) "no recoveries after reconnect" rec1
         (Machine.jobs_recovered ());
       Alcotest.(check bool) "reconnect counted" true
-        (Mp_util.Netpool.reconnect_count () > rc0))
+        (Mp_util.Workerpool.reopen_count () > rc0))
+
+let test_handshake_rejected () =
+  (* a loopback listener that answers the handshake with different
+     bytes: the pool must refuse the peer before sending it any request
+     frame, and back off instead of reconnecting on the next send *)
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "unexpected socket address"
+  in
+  let stop = Atomic.make false in
+  (* counts (connections accepted, frames received after the
+     handshake); Alcotest stays on the calling domain *)
+  let listener =
+    Domain.spawn (fun () ->
+        let rec serve accepts extra =
+          if Atomic.get stop then (accepts, extra)
+          else
+            match Unix.select [ lsock ] [] [] 0.05 with
+            | [], _, _ -> serve accepts extra
+            | _ ->
+              let fd, _ = Unix.accept lsock in
+              let extra =
+                match Mp_util.Transport.read_frame ~timeout_s:5.0 fd with
+                | None -> extra
+                | Some _ -> (
+                  Mp_util.Transport.write_frame fd
+                    (Bytes.of_string "mpnet1 another-build");
+                  match Mp_util.Transport.read_frame ~timeout_s:1.0 fd with
+                  | Some _ -> extra + 1
+                  | None -> extra)
+              in
+              Unix.close fd;
+              serve (accepts + 1) extra
+        in
+        serve 0 0)
+  in
+  let p =
+    Mp_util.Workerpool.create ~hosts:[ ("127.0.0.1", port) ]
+      ~handshake:(Bytes.of_string "mpnet1 this-build") 0
+  in
+  let t0 = Unix.gettimeofday () in
+  let sent = Mp_util.Workerpool.send p 0 (Bytes.of_string "request") in
+  let resent = Mp_util.Workerpool.send p 0 (Bytes.of_string "request") in
+  (* the backoff window opens when the first open fails and lasts
+     0.05 s; if both sends finished within 0.05 s of the start, the
+     second one certainly fell inside it *)
+  let in_window = Unix.gettimeofday () -. t0 < 0.05 in
+  Mp_util.Workerpool.shutdown p;
+  Atomic.set stop true;
+  let accepts, extra = Domain.join listener in
+  Unix.close lsock;
+  Alcotest.(check bool) "send refused" false sent;
+  Alcotest.(check bool) "resend refused" false resent;
+  Alcotest.(check int) "no frame after the handshake" 0 extra;
+  Alcotest.(check bool) "peer reached" true (accepts >= 1);
+  if in_window then
+    Alcotest.(check int) "no new connection inside the backoff window" 1
+      accepts
 
 (* ----- dynamic shard scheduler ----------------------------------------------- *)
 
@@ -635,23 +722,22 @@ let test_dynamic_crash_requeues () =
   let jobs = skewed_jobs a in
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  match Shard_exec.get_pool 2 with
-  | None -> Alcotest.fail "could not create the shared shard pool"
-  | Some p ->
-    let rec0 = Machine.jobs_recovered () in
-    (* SIGKILL one of the two workers: under the dynamic scheduler the
-       dead slot's chunks re-enter the shared queue and the surviving
-       worker completes them — no coordinator fallback, bit-identical *)
-    Mp_util.Procpool.kill (Shard_exec.procpool p) 0;
-    let m2 = Machine.create ~cache:false a.Arch.uarch in
-    check_identical "one dead worker vs serial" serial
-      (Machine.run_batch ~procs:2 m2 jobs);
-    Alcotest.(check int) "requeue absorbed the loss in-pool" rec0
-      (Machine.jobs_recovered ());
-    (* the next dispatch respawns the reaped slot transparently *)
-    let m3 = Machine.create ~cache:false a.Arch.uarch in
-    check_identical "respawned pool vs serial" serial
-      (Machine.run_batch ~procs:2 m3 jobs)
+  let w = Shard_exec.(workers (get_pool 2)) in
+  let rec0 = Machine.jobs_recovered () in
+  (* SIGKILL one of the two workers: under the dynamic scheduler the
+     dead slot's chunks re-enter the shared queue and the surviving
+     worker completes them — no coordinator fallback, bit-identical *)
+  Alcotest.(check bool) "worker spawned" true (Mp_util.Workerpool.open_slot w 0);
+  Mp_util.Workerpool.kill w 0;
+  let m2 = Machine.create ~cache:false a.Arch.uarch in
+  check_identical "one dead worker vs serial" serial
+    (Machine.run_batch ~procs:2 m2 jobs);
+  Alcotest.(check int) "requeue absorbed the loss in-pool" rec0
+    (Machine.jobs_recovered ());
+  (* the next dispatch respawns the reaped slot transparently *)
+  let m3 = Machine.create ~cache:false a.Arch.uarch in
+  check_identical "respawned pool vs serial" serial
+    (Machine.run_batch ~procs:2 m3 jobs)
 
 let test_speculate_force_first_result_wins () =
   let a = Arch.power7 () in
@@ -719,7 +805,9 @@ let () =
          Alcotest.test_case "truncated frame" `Quick
            test_procpool_truncated_frame;
          Alcotest.test_case "ensure_size lazy spawn" `Quick
-           test_procpool_ensure_size ]);
+           test_procpool_ensure_size;
+         Alcotest.test_case "slow reader send idles" `Quick
+           test_slow_reader_send_idles ]);
       ("multi-process",
        [ Alcotest.test_case "procs bit-identical vs serial" `Quick
            test_run_batch_procs_matches_serial;
@@ -729,7 +817,9 @@ let () =
        [ Alcotest.test_case "remote bit-identical vs serial" `Quick
            test_run_batch_remote_matches_serial;
          Alcotest.test_case "remote crash recovers + reconnects" `Quick
-           test_run_batch_remote_crash_recovers ]);
+           test_run_batch_remote_crash_recovers;
+         Alcotest.test_case "handshake rejection backs off" `Quick
+           test_handshake_rejected ]);
       ("dynamic scheduler",
        [ Alcotest.test_case "MP_SPECULATE" `Quick test_speculate_knob_env;
          Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;

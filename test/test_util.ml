@@ -260,8 +260,8 @@ let test_csv_padding () =
 
 (* ----- transport frame codec --------------------------------------------- *)
 
-(* The wire format shared by the pipe (Procpool) and socket (Netpool)
-   transports. Everything runs over a plain Unix pipe: the codec only
+(* The wire format every worker slot speaks, subprocess or TCP peer.
+   Everything runs over a plain Unix pipe: the codec only
    sees fds, so a pipe exercises exactly the byte paths a socket
    would. Payload sizes stay under the kernel pipe buffer so a single
    thread can write-then-read without deadlocking. *)
