@@ -701,92 +701,87 @@ let run (ctx : Context.t) =
    and CI with it. *)
 let replay_bench (ctx : Context.t) =
   Context.section "Steady-state replay — repeated measurements vs dense";
-  if not (Replay.enabled ()) then begin
-    Context.log "MP_REPLAY=off — replay benchmark skipped";
-    Context.record_metric ctx "replay_bench_speedup" Float.nan
-  end else begin
-    let arch = ctx.Context.arch in
-    let pool = ctx.Context.pool in
-    let n_programs, jobs =
-      bench_jobs ctx ~skip:2
-        [ Context.config ctx ~cores:1 ~smt:1;
-          Context.config ctx ~cores:4 ~smt:2 ]
-    in
-    let reps = if ctx.Context.quick then 4 else 6 in
-    Context.log "%d jobs (%d programs x 2 configurations), %d repetitions"
-      (List.length jobs) n_programs reps;
-    let off_machine =
-      Machine.create ~cache:false ~replay:false arch.Arch.uarch
-    in
-    let on_machine = Machine.create ~cache:false arch.Arch.uarch in
-    let hits0 = Replay.hits () in
-    let misses0 = Replay.misses () in
-    let t_off = ref 0.0 and t_on = ref 0.0 in
-    let reference = ref None in
-    (* interleaved off/on laps, so allocator and cache warmth drift
-       over the run is shared evenly between the two sides *)
-    for _ = 1 to reps do
-      let off, dt_off = lap off_machine pool jobs in
-      t_off := !t_off +. dt_off;
-      let on, dt_on = lap on_machine pool jobs in
-      t_on := !t_on +. dt_on;
-      (match !reference with
-       | None -> reference := Some off
-       | Some r ->
-         if compare r off <> 0 then
-           failwith "replay bench: dense laps diverge from each other");
-      if compare off on <> 0 then
-        failwith
-          "replay bench: replayed results diverge from dense simulation"
-    done;
-    (* the widened-window lap: measure = 16 is twice the default 8 and
-       is the Epi.Bootstrap window, so the on side must serve it by
-       period extrapolation from records captured at the default *)
-    let wide machine =
-      let t0 = Unix.gettimeofday () in
-      let r =
-        List.map (fun (c, p) -> Machine.run ~measure:16 machine c p) jobs
-      in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let wide_off, dt_off = wide off_machine in
+  let arch = ctx.Context.arch in
+  let pool = ctx.Context.pool in
+  let n_programs, jobs =
+    bench_jobs ctx ~skip:2
+      [ Context.config ctx ~cores:1 ~smt:1;
+        Context.config ctx ~cores:4 ~smt:2 ]
+  in
+  let reps = if ctx.Context.quick then 4 else 6 in
+  Context.log "%d jobs (%d programs x 2 configurations), %d repetitions"
+    (List.length jobs) n_programs reps;
+  let off_machine =
+    Machine.create ~cache:false ~replay:false arch.Arch.uarch
+  in
+  let on_machine = Machine.create ~cache:false arch.Arch.uarch in
+  let hits0 = Replay.hits () in
+  let misses0 = Replay.misses () in
+  let t_off = ref 0.0 and t_on = ref 0.0 in
+  let reference = ref None in
+  (* interleaved off/on laps, so allocator and cache warmth drift
+     over the run is shared evenly between the two sides *)
+  for _ = 1 to reps do
+    let off, dt_off = lap off_machine pool jobs in
     t_off := !t_off +. dt_off;
-    let wide_on, dt_on = wide on_machine in
+    let on, dt_on = lap on_machine pool jobs in
     t_on := !t_on +. dt_on;
-    if compare wide_off wide_on <> 0 then
+    (match !reference with
+     | None -> reference := Some off
+     | Some r ->
+       if compare r off <> 0 then
+         failwith "replay bench: dense laps diverge from each other");
+    if compare off on <> 0 then
       failwith
-        "replay bench: widened-window replay diverges from dense simulation";
-    let hits = Replay.hits () - hits0 in
-    let misses = Replay.misses () - misses0 in
-    if hits = 0 then
-      failwith
-        "replay bench: zero replay hits on a repeated-measurement workload \
-         — the replay table has regressed into silent dense simulation";
-    let speedup = !t_off /. Float.max !t_on 1e-9 in
-    Context.record_metric ctx "replay_bench_jobs"
-      (float_of_int (List.length jobs));
-    Context.record_metric ctx "replay_bench_reps" (float_of_int reps);
-    Context.record_metric ctx "replay_bench_off_seconds" !t_off;
-    Context.record_metric ctx "replay_bench_on_seconds" !t_on;
-    Context.record_metric ctx "replay_bench_speedup" speedup;
-    Context.record_metric ctx "replay_bench_hits" (float_of_int hits);
-    Context.record_metric ctx "replay_bench_misses" (float_of_int misses);
+        "replay bench: replayed results diverge from dense simulation"
+  done;
+  (* the widened-window lap: measure = 16 is twice the default 8 and
+     is the Epi.Bootstrap window, so the on side must serve it by
+     period extrapolation from records captured at the default *)
+  let wide machine =
+    let t0 = Unix.gettimeofday () in
+    let r =
+      List.map (fun (c, p) -> Machine.run ~measure:16 machine c p) jobs
+    in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let wide_off, dt_off = wide off_machine in
+  t_off := !t_off +. dt_off;
+  let wide_on, dt_on = wide on_machine in
+  t_on := !t_on +. dt_on;
+  if compare wide_off wide_on <> 0 then
+    failwith
+      "replay bench: widened-window replay diverges from dense simulation";
+  let hits = Replay.hits () - hits0 in
+  let misses = Replay.misses () - misses0 in
+  if hits = 0 then
+    failwith
+      "replay bench: zero replay hits on a repeated-measurement workload \
+       — the replay table has regressed into silent dense simulation";
+  let speedup = !t_off /. Float.max !t_on 1e-9 in
+  Context.record_metric ctx "replay_bench_jobs"
+    (float_of_int (List.length jobs));
+  Context.record_metric ctx "replay_bench_reps" (float_of_int reps);
+  Context.record_metric ctx "replay_bench_off_seconds" !t_off;
+  Context.record_metric ctx "replay_bench_on_seconds" !t_on;
+  Context.record_metric ctx "replay_bench_speedup" speedup;
+  Context.record_metric ctx "replay_bench_hits" (float_of_int hits);
+  Context.record_metric ctx "replay_bench_misses" (float_of_int misses);
+  Context.log
+    "replay off %.2fs, replay on %.2fs -> %.2fx speedup; %d replay hits,\n\
+     %d misses; all %d laps plus the widened window bit-identical"
+    !t_off !t_on speedup hits misses (reps + 1);
+  (* the acceptance target is >= 2x on this workload; the CI floor
+     sits at 1.5x so timer noise on a loaded runner doesn't flake the
+     gate while a real regression (replay silently disabled, a key
+     component accidentally including the window) still fails *)
+  if speedup < 1.5 then
+    failwith
+      (Printf.sprintf
+         "replay bench: only %.2fx vs dense re-simulation (floor 1.5x) — \
+          steady-state replay has regressed"
+         speedup);
+  if speedup < 2.0 then
     Context.log
-      "replay off %.2fs, replay on %.2fs -> %.2fx speedup; %d replay hits,\n\
-       %d misses; all %d laps plus the widened window bit-identical"
-      !t_off !t_on speedup hits misses (reps + 1);
-    (* the acceptance target is >= 2x on this workload; the CI floor
-       sits at 1.5x so timer noise on a loaded runner doesn't flake the
-       gate while a real regression (replay silently disabled, a key
-       component accidentally including the window) still fails *)
-    if speedup < 1.5 then
-      failwith
-        (Printf.sprintf
-           "replay bench: only %.2fx vs dense re-simulation (floor 1.5x) — \
-            steady-state replay has regressed"
-           speedup);
-    if speedup < 2.0 then
-      Context.log
-        "note: below the 2.0x acceptance target (runner noise?) — floor 1.5x \
-         held"
-  end
+      "note: below the 2.0x acceptance target (runner noise?) — floor 1.5x \
+       held"

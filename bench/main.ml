@@ -174,7 +174,7 @@ let () =
     Context.record_metric ctx "cycles_skipped"
       (float_of_int (Microprobe.Core_sim.cycles_skipped ()));
     (* steady-state replay: measurements served from captured period
-       records instead of dense simulation (MP_REPLAY=off zeroes both) *)
+       records instead of dense simulation *)
     Context.record_metric ctx "replay_hits"
       (float_of_int (Microprobe.Replay.hits ()));
     Context.record_metric ctx "replay_misses"
@@ -189,8 +189,6 @@ let () =
       (float_of_int (Mp_util.Parallel.parallel_batches ctx.Context.pool));
     Context.record_metric ctx "pool_serial_fallbacks"
       (float_of_int (Mp_util.Parallel.serial_fallbacks ctx.Context.pool));
-    Context.record_metric ctx "pool_min_jobs_per_core"
-      (Mp_util.Parallel.env_min_jobs_per_core ());
     (* cumulative time deriving cache keys: the structural fold keeps
        this in the noise *)
     Context.record_metric ctx "key_digest_seconds"

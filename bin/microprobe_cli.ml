@@ -305,14 +305,14 @@ let stressmark_cmd =
    a supervisor restart never loses a coordinator's job (the
    coordinator re-runs whatever a hard kill drops anyway). *)
 let worker listen =
-  match Shard_exec.parse_hosts listen with
-  | [ (host, port) ] ->
+  match Util.Env.host_port (String.trim listen) with
+  | Some (host, port) ->
     Printf.eprintf "microprobe worker: listening on %s:%d\n" host port;
     Printf.eprintf "namespace: %s\n%!" (Measurement_cache.namespace ());
     Shard_exec.serve ~host ~port ();
     prerr_endline "microprobe worker: drained, exiting";
     0
-  | _ ->
+  | None ->
     prerr_endline "worker: --listen must be HOST:PORT";
     2
 

@@ -27,23 +27,11 @@ type model = Packed | List_ref
 
 let model_to_string = function Packed -> "packed" | List_ref -> "list"
 
-let model_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "packed" | "fast" -> Some Packed
-  | "list" | "ref" | "reference" -> Some List_ref
-  | _ -> None
-
 (* consulted at every [create], not latched at startup: tests and
    benches flip the variable between runs with [Unix.putenv] *)
 let default_model () =
-  match Sys.getenv_opt "MP_CACHE_MODEL" with
-  | None -> Packed
-  | Some s ->
-    (match model_of_string s with
-     | Some m -> m
-     | None ->
-       invalid_arg
-         (Printf.sprintf "MP_CACHE_MODEL=%S (expected packed|list)" s))
+  Mp_util.Env.choice "MP_CACHE_MODEL" ~default:Packed
+    [ ("packed", Packed); ("list", List_ref) ]
 
 (* ----- packed model -------------------------------------------------------- *)
 

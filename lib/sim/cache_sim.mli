@@ -15,14 +15,11 @@ type model = Packed | List_ref
 
 val model_to_string : model -> string
 
-val model_of_string : string -> model option
-(** Accepts ["packed"]/["fast"] and ["list"]/["ref"]/["reference"]. *)
-
 val default_model : unit -> model
-(** The model {!create} uses when none is given: [Packed] unless the
-    [MP_CACHE_MODEL] environment variable selects the reference model.
-    Read per call, so tests can flip it between runs. Raises
-    [Invalid_argument] on an unrecognised value. *)
+(** The model {!create} uses when none is given: [Packed] unless
+    [MP_CACHE_MODEL=list] selects the reference model. Read per call,
+    so tests can flip it between runs. Raises [Invalid_argument] on
+    any value other than [packed] or [list]. *)
 
 type t
 

@@ -174,18 +174,6 @@ let cycles_skipped_ctr = Atomic.make 0
 let period_hits () = Atomic.get period_hits_ctr
 let cycles_skipped () = Atomic.get cycles_skipped_ctr
 
-(* Read once, at module initialisation: pool domains consult it
-   concurrently, and a lazy value forced by two domains at once raises
-   [CamlinternalLazy.Undefined] in OCaml 5. *)
-let env_period =
-  match Sys.getenv_opt "MP_PERIOD" with
-  | Some v ->
-    not
-      (List.mem
-         (String.lowercase_ascii (String.trim v))
-         [ "off"; "0"; "false"; "no" ])
-  | None -> true
-
 type pending = {
   mutable di : int;      (* body index *)
   mutable it : int;      (* iteration *)
@@ -315,8 +303,8 @@ type period_delta = {
   pd_prefetches : int;
 }
 
-let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
-    progs =
+let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2)
+    ?(period = true) progs =
   let nthreads = Array.length progs in
   if nthreads = 0 then invalid_arg "Core_sim.run: no threads";
   let mem_lat =
@@ -326,10 +314,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   let total_iters = warmup + measure in
   (* Period skipping pays for its fingerprints only when there are
      enough measured iterations to elide; short windows run dense. *)
-  let period_on =
-    (match period with Some b -> b | None -> env_period)
-    && measure >= 4
-  in
+  let period_on = period && measure >= 4 in
   let cache = Cache_sim.create uarch in
   let latencies =
     (* load-to-use latency per source level id *)

@@ -65,9 +65,8 @@ val run :
     accumulate. [mem_latency] overrides the definition's base main-
     memory latency (used for chip-level bandwidth contention).
 
-    [period] enables exact steady-state period skipping (default: on
-    unless the [MP_PERIOD] environment variable is set to [off]/[0]/
-    [false]/[no]). When the full microarchitectural state repeats at an
+    [period] enables exact steady-state period skipping (default
+    [true]). When the full microarchitectural state repeats at an
     iteration boundary inside the measured window, the remaining whole
     periods are credited by exact counter-delta scaling instead of
     being simulated; the returned {!activity} is bit-identical to a

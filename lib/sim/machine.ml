@@ -25,7 +25,7 @@ let create ?(seed = 2012) ?(cache = true) ?(replay = true) uarch =
        everything that distinguishes machines), so machines share
        steady-state work; [~replay:false] opts a machine out — the
        benchmarks' dense reference machines need genuinely dense runs *)
-    replay = (if replay && Replay.enabled () then Some (Replay.global ()) else None);
+    replay = (if replay then Some (Replay.global ()) else None);
     uarch_fp = Measurement_cache.uarch_fingerprint uarch;
   }
 
@@ -316,7 +316,6 @@ let sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
        outright *)
     Mp_util.Parallel.worthwhile ~size:(max 2 slots) ~jobs:(List.length jobs)
       ~width
-      ~min_jobs_per_core:(Mp_util.Parallel.env_min_jobs_per_core ())
   in
   if not fan_out then in_process jobs
   else
@@ -572,7 +571,7 @@ let exec_request (rq : Shard_exec.request) =
   in
   Array.of_list
     (batch ~warmup:rq.Shard_exec.rq_warmup ~measure:rq.Shard_exec.rq_measure
-       ?period:rq.Shard_exec.rq_period ~procs:0 ~hosts:[] ~dedup:false
+       ~period:rq.Shard_exec.rq_period ~procs:0 ~hosts:[] ~dedup:false
        (machine_for_spec rq.Shard_exec.rq_spec)
        jobs)
 

@@ -31,9 +31,8 @@ val create :
     whatever the window — skip warmup-to-steady-state entirely.
     Replayed measurements are bit-identical to dense simulation, so
     the layer is observationally invisible apart from wall-clock time;
-    [MP_REPLAY=off] disables it process-wide, [~replay:false] per
-    machine (the benchmarks' dense reference machines need genuinely
-    dense runs).
+    [~replay:false] disables it per machine (the benchmarks' dense
+    reference machines need genuinely dense runs).
 
     Programs whose generating passes are all seed-independent (no pass
     drew from an rng and no memory model; see
@@ -61,10 +60,10 @@ val run :
   Measurement.t
 (** Deploy and measure one micro-benchmark. [warmup]/[measure] are loop
     iterations (defaults 1 and {!default_measure}). [period] forwards to
-    {!Core_sim.run}'s exact steady-state period skipping (default: on
-    unless [MP_PERIOD=off]); results are bit-identical either way, so
-    the knob only affects wall-clock time and is deliberately not part
-    of the measurement-cache key. *)
+    {!Core_sim.run}'s exact steady-state period skipping (default on);
+    results are bit-identical either way, so the flag only affects
+    wall-clock time and is deliberately not part of the
+    measurement-cache key. *)
 
 val run_batch :
   ?warmup:int -> ?measure:int -> ?period:bool -> ?pool:Mp_util.Parallel.t ->

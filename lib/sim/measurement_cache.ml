@@ -35,21 +35,14 @@ let binary_stamp =
 let namespace () =
   Printf.sprintf "v%d-%s" schema_version (binary_stamp ())
 
-let cache_enabled () =
-  match Sys.getenv_opt "MP_CACHE" with
-  | Some v ->
-    not
-      (List.mem (String.lowercase_ascii (String.trim v))
-         [ "off"; "0"; "false"; "no" ])
-  | None -> true
-
-let env_dir () =
-  match Sys.getenv_opt "MP_CACHE_DIR" with
-  | Some d when String.trim d <> "" -> String.trim d
-  | _ -> "_mp_cache"
-
 let env_disk () =
-  if cache_enabled () then Some { dir = env_dir (); namespace = namespace () }
+  if Mp_util.Env.flag "MP_CACHE" ~default:true then
+    Some
+      {
+        dir =
+          Option.value ~default:"_mp_cache" (Mp_util.Env.get "MP_CACHE_DIR");
+        namespace = namespace ();
+      }
   else None
 
 (* Entries shard into subdirectories named by the first two hex digits
@@ -151,12 +144,9 @@ type gc_stats = {
 let is_tmp f = String.length f >= 5 && String.sub f 0 5 = ".tmp."
 
 let env_max_bytes () =
-  match Sys.getenv_opt "MP_CACHE_MAX_MB" with
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some mb when mb > 0.0 -> Some (int_of_float (mb *. 1024.0 *. 1024.0))
-     | _ -> None)
-  | None -> None
+  Option.map
+    (fun mb -> int_of_float (mb *. 1024.0 *. 1024.0))
+    (Mp_util.Env.positive_float "MP_CACHE_MAX_MB")
 
 let gc ?max_bytes dir =
   let max_bytes =

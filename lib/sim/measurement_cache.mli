@@ -54,9 +54,10 @@ val namespace : unit -> string
 
 val env_disk : unit -> disk option
 (** The disk configuration the environment selects: [None] when
-    [MP_CACHE] is [off]/[0]/[false]/[no], otherwise the directory named
-    by [MP_CACHE_DIR] (default ["_mp_cache"]) with {!namespace}. This
-    is what {!Machine.create} uses. *)
+    [MP_CACHE] is off, otherwise the directory named by [MP_CACHE_DIR]
+    (default ["_mp_cache"]) with {!namespace}. This is what
+    {!Machine.create} uses. Raises [Invalid_argument] on a malformed
+    [MP_CACHE] ({!Mp_util.Env.flag}). *)
 
 val create : ?disk:disk -> unit -> t
 (** [create ()] is purely in-memory; [create ~disk ()] also reads and
@@ -96,7 +97,9 @@ type gc_stats = {
 
 val env_max_bytes : unit -> int option
 (** The size bound the environment selects: [MP_CACHE_MAX_MB] parsed as
-    a positive number of mebibytes ([None] when unset or unparsable). *)
+    a positive number of mebibytes ([None] when unset or blank; any
+    other non-positive or non-numeric value raises
+    [Invalid_argument]). *)
 
 val gc : ?max_bytes:int -> string -> gc_stats
 (** [gc dir] prunes entry files from a cache directory — measurement

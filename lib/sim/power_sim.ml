@@ -75,10 +75,10 @@ let chip_power ~table ~config ~opmap ~activity =
 
 let idle_power ~table ~config = static_power ~table ~config
 
-let sample ~table ~rng ?(windows = 24) ~config ~opmap ~activity () =
+let sample ~table ~rng ~config ~opmap ~activity () =
   let p = chip_power ~table ~config ~opmap ~activity in
   let trace =
-    Array.init windows (fun _ ->
+    Array.init 24 (fun _ ->
         let rel = Mp_util.Rng.gaussian rng ~mu:1.0 ~sigma:table.noise_rel in
         let abs = Mp_util.Rng.gaussian rng ~mu:0.0 ~sigma:table.noise_abs in
         Float.max 0.0 ((p *. rel) +. abs))

@@ -20,13 +20,12 @@ val chip_power :
 val sample :
   table:Energy_table.t ->
   rng:Mp_util.Rng.t ->
-  ?windows:int ->
   config:Mp_uarch.Uarch_def.config ->
   opmap:Core_sim.opmap ->
   activity:Core_sim.activity ->
   unit ->
   reading
-(** Apply sensor noise over [windows] (default 24) sampling windows. *)
+(** Apply sensor noise over 24 sampling windows. *)
 
 val idle_power : table:Energy_table.t -> config:Mp_uarch.Uarch_def.config -> float
 (** Chip power with enabled-but-idle cores — what a measurement of an

@@ -84,15 +84,6 @@ let misses_ctr = Atomic.make 0
 let hits () = Atomic.get hits_ctr
 let misses () = Atomic.get misses_ctr
 
-let enabled () =
-  match Sys.getenv_opt "MP_REPLAY" with
-  | Some v ->
-    not
-      (List.mem
-         (String.lowercase_ascii (String.trim v))
-         [ "off"; "0"; "false"; "no" ])
-  | None -> true
-
 (* Same gate and directory as the measurement cache ([MP_CACHE],
    [MP_CACHE_DIR]), one level down — records are written through the
    cache's own entry functions, so a build's records are pruned and
@@ -122,18 +113,16 @@ let length t =
 let global_table = ref None
 let global_lock = Mutex.create ()
 
+(* [Mutex.protect]: a rejected MP_CACHE raises inside the critical
+   section *)
 let global () =
-  Mutex.lock global_lock;
-  let r =
-    match !global_table with
-    | Some r -> r
-    | None ->
-      let r = create ?disk_dir:(env_disk_dir ()) () in
-      global_table := Some r;
-      r
-  in
-  Mutex.unlock global_lock;
-  r
+  Mutex.protect global_lock (fun () ->
+      match !global_table with
+      | Some r -> r
+      | None ->
+        let r = create ?disk_dir:(env_disk_dir ()) () in
+        global_table := Some r;
+        r)
 
 (* ----- keys -------------------------------------------------------------- *)
 

@@ -23,9 +23,7 @@
     record reifies bit-identically against any machine's intern table
     ({!Power_sim} sums energies in name order).
 
-    The whole layer is disabled by [MP_REPLAY=off] (accepted spellings
-    as for [MP_PERIOD]); {!Machine.create} then simulates every run
-    densely. Records persist through the measurement cache's own entry
+    Records persist through the measurement cache's own entry
     functions ({!Measurement_cache.write_entry}) into its replay store
     ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same 2-hex-digit
     sharding, same binary-stamped namespace), so warm runs skip even
@@ -44,10 +42,7 @@ val create : ?disk_dir:string -> unit -> t
 val global : unit -> t
 (** The process-wide table {!Machine.create} attaches by default,
     created on first use with the environment's disk configuration
-    (see {!enabled}). *)
-
-val enabled : unit -> bool
-(** False when [MP_REPLAY] is set to [off]/[0]/[false]/[no]. *)
+    ({!Measurement_cache.env_disk}). *)
 
 val length : t -> int
 (** Number of in-memory records. *)

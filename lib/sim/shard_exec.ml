@@ -39,7 +39,7 @@ type request = {
   rq_chunk : int; (* echoed back verbatim: which chunk this frame carries *)
   rq_warmup : int;
   rq_measure : int;
-  rq_period : bool option;
+  rq_period : bool;
   rq_spec : machine_spec;
   rq_jobs : job array;
 }
@@ -65,8 +65,8 @@ let net_worker_env_var = "MP_NET_WORKER"
 let net_serving = ref false
 
 let in_worker_process () =
-  Sys.getenv_opt worker_env_var = Some "1"
-  || Sys.getenv_opt net_worker_env_var <> None
+  Mp_util.Env.flag worker_env_var ~default:false
+  || Mp_util.Env.get net_worker_env_var <> None
   || !net_serving
 
 (* MP_PROCS: 0/unset = in-process (unchanged behavior); N = that many
@@ -76,49 +76,17 @@ let in_worker_process () =
 let env_procs () =
   if in_worker_process () then 0
   else
-    match Sys.getenv_opt "MP_PROCS" with
-    | None -> 0
-    | Some s ->
-      let s = String.lowercase_ascii (String.trim s) in
-      if s = "" then 0
-      else if s = "auto" then
-        max 1
-          (Mp_util.Parallel.detected_cores ()
-          / max 1 (Mp_util.Parallel.default_size ()))
-      else (
-        match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 0)
+    match Option.map String.lowercase_ascii (Mp_util.Env.get "MP_PROCS") with
+    | Some "auto" ->
+      max 1
+        (Mp_util.Parallel.detected_cores ()
+        / max 1 (Mp_util.Parallel.default_size ()))
+    | _ -> Option.value ~default:0 (Mp_util.Env.int "MP_PROCS" ~min:0)
 
-let default_timeout_s = 300.0
-
-let env_timeout_s () =
-  match Sys.getenv_opt "MP_PROC_TIMEOUT_S" with
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some v when v > 0.0 && Float.is_finite v -> v
-     | _ -> default_timeout_s)
-  | None -> default_timeout_s
-
-(* "host:port,host:port,..."; entries that don't parse are dropped.
-   The split is on the *last* colon so bracketless IPv6 literals keep
-   working. Always [] inside a worker — remote workers never chain to
-   further remotes. *)
-let parse_hosts s =
-  String.split_on_char ',' s
-  |> List.filter_map (fun entry ->
-         let entry = String.trim entry in
-         match String.rindex_opt entry ':' with
-         | None -> None
-         | Some i ->
-           let host = String.sub entry 0 i in
-           let port = String.sub entry (i + 1) (String.length entry - i - 1) in
-           (match int_of_string_opt port with
-            | Some p when p > 0 && p < 65536 && host <> "" -> Some (host, p)
-            | _ -> None))
-
+(* Always [] inside a worker — remote workers never chain to further
+   remotes. *)
 let env_hosts () =
-  if in_worker_process () then []
-  else
-    match Sys.getenv_opt "MP_HOSTS" with None -> [] | Some s -> parse_hosts s
+  if in_worker_process () then [] else Mp_util.Env.hosts "MP_HOSTS"
 
 (* Chunk frames kept in flight per slot. Workers serve strictly one
    request at a time, so the second outstanding frame sits in the
@@ -137,13 +105,11 @@ let inflight = 2
 type speculate = Spec_off | Spec_on | Spec_force
 
 let env_speculate () =
-  match Sys.getenv_opt "MP_SPECULATE" with
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "off" | "0" | "false" -> Spec_off
-    | "force" -> Spec_force
-    | _ -> Spec_on)
-  | None -> Spec_on
+  Mp_util.Env.choice "MP_SPECULATE" ~default:Spec_on
+    (("force", Spec_force)
+    :: List.map
+         (fun (w, on) -> (w, if on then Spec_on else Spec_off))
+         Mp_util.Env.flag_words)
 
 (* ----- per-slot telemetry ------------------------------------------------- *)
 
@@ -379,34 +345,26 @@ let serve ?(host = "0.0.0.0") ~port () =
 (* Called from Machine's module initializer — i.e. in every executable
    that links the simulator — so any such executable can be its own
    worker. Never returns in a worker process. MP_NET_WORKER holds
-   "port" or "host:port" and turns the process into a TCP worker (used
+   "host:port" and turns the process into a TCP worker (used
    by [spawn_worker] for loopback workers in tests and benches);
    MP_SHARD_WORKER=1 serves frames over stdin/stdout. *)
 let maybe_become_worker () =
-  if Sys.getenv_opt worker_env_var = Some "1" then begin
+  if Mp_util.Env.flag worker_env_var ~default:false then begin
     worker_main ();
     exit 0
   end
   else
-    match Sys.getenv_opt net_worker_env_var with
+    match Mp_util.Env.get net_worker_env_var with
     | None -> ()
     | Some spec ->
-      let host, port =
-        match String.rindex_opt spec ':' with
-        | None -> ("127.0.0.1", int_of_string_opt (String.trim spec))
-        | Some i ->
-          ( String.sub spec 0 i,
-            int_of_string_opt
-              (String.sub spec (i + 1) (String.length spec - i - 1)) )
-      in
-      (match port with
-       | Some port when port > 0 && port < 65536 ->
+      (match Mp_util.Env.host_port spec with
+       | Some (host, port) ->
          (try serve ~host ~port ()
           with e ->
             prerr_endline
               (Printf.sprintf "MP_NET_WORKER %s: %s" spec (Printexc.to_string e));
             exit 1)
-       | _ ->
+       | None ->
          prerr_endline (Printf.sprintf "MP_NET_WORKER: bad listen spec %S" spec);
          exit 1);
       exit 0
@@ -416,8 +374,8 @@ let maybe_become_worker () =
    callers can build a pool against it without racing its startup. The
    probe connection is rejected by the server's handshake read (EOF)
    and costs it nothing. *)
-let spawn_worker ?(env = []) ?(host = "127.0.0.1") ?(ready_timeout_s = 30.0)
-    ~port () =
+let spawn_worker ?(env = []) ~port () =
+  let host = "127.0.0.1" and ready_timeout_s = 30.0 in
   let env =
     (net_worker_env_var, Printf.sprintf "%s:%d" host port)
     :: (("MP_PROCS", "0") :: env)
@@ -480,7 +438,7 @@ type pool = {
   timeout_s : float;
 }
 
-let create_pool ?(env = []) ?timeout_s ?(hosts = []) n =
+let create_pool ?(env = []) ?(hosts = []) n =
   let env =
     env
     @ [
@@ -494,7 +452,9 @@ let create_pool ?(env = []) ?timeout_s ?(hosts = []) n =
     workers =
       Mp_util.Workerpool.create ~env ~hosts ~handshake:(net_handshake ()) n;
     hosts;
-    timeout_s = (match timeout_s with Some s -> s | None -> env_timeout_s ());
+    timeout_s =
+      Option.value ~default:300.0
+        (Mp_util.Env.positive_float "MP_PROC_TIMEOUT_S");
   }
 
 let pool_size p = Mp_util.Workerpool.size p.workers
@@ -884,7 +844,7 @@ let schedule p ~spec ~warmup ~measure ~period jobs results =
         })
     stats
 
-let run_jobs p ~spec ~warmup ~measure ?period jobs =
+let run_jobs p ~spec ~warmup ~measure ?(period = true) jobs =
   let jobs = Array.of_list jobs in
   let results = Array.make (Array.length jobs) None in
   if Array.length jobs > 0 then

@@ -72,7 +72,7 @@ type request = {
           by arrival order alone *)
   rq_warmup : int;
   rq_measure : int;
-  rq_period : bool option;
+  rq_period : bool;
   rq_spec : machine_spec;
   rq_jobs : job array;
 }
@@ -83,28 +83,22 @@ type response = {
   rs_results : (Measurement.t array, string) result;
 }
 
-(** {2 Knobs} *)
+(** {2 Knobs}
+
+    All knobs are read through {!Mp_util.Env}: a malformed value
+    raises [Invalid_argument] naming the variable. *)
 
 val env_procs : unit -> int
-(** [MP_PROCS] parsed: [0] (the default, and anything unparsable) means
-    in-process execution, unchanged behavior; [N] means a pool of [N]
-    workers; ["auto"] picks [detected_cores / pool_size] (at least 1).
-    Always [0] inside a worker process — workers never spawn process
-    pools of their own. *)
-
-val env_timeout_s : unit -> float
-(** [MP_PROC_TIMEOUT_S] parsed as a positive number of seconds per
-    shard exchange (default 300). A worker that exceeds it is treated
-    as crashed. *)
+(** [MP_PROCS] parsed: [0] (the default) means in-process execution;
+    [N] means a pool of [N] workers; ["auto"] picks
+    [detected_cores / pool_size] (at least 1). Always [0] inside a
+    worker process — workers never spawn process pools of their
+    own. *)
 
 val env_hosts : unit -> (string * int) list
-(** [MP_HOSTS] parsed: a comma-separated list of [host:port] remote
-    workers (the split is on the last colon, so bare IPv6 literals
-    work); entries that don't parse are dropped. Always [[]] inside a
-    worker process — remote workers never chain to further remotes. *)
-
-val parse_hosts : string -> (string * int) list
-(** The parser under {!env_hosts}, exposed for the CLI and tests. *)
+(** [MP_HOSTS] parsed by {!Mp_util.Env.hosts}: a comma-separated list
+    of [host:port] remote workers. Always [[]] inside a worker process
+    — remote workers never chain to further remotes. *)
 
 (** What an idle slot does once the shared queue is empty but chunks
     are still outstanding elsewhere. [Spec_force] is a test hook:
@@ -114,8 +108,9 @@ val parse_hosts : string -> (string * int) list
 type speculate = Spec_off | Spec_on | Spec_force
 
 val env_speculate : unit -> speculate
-(** [MP_SPECULATE] parsed: [off]/[0]/[false] → [Spec_off], [force] →
-    [Spec_force], anything else (including unset) → [Spec_on]. *)
+(** [MP_SPECULATE] parsed: an off {!Mp_util.Env.flag_words} spelling →
+    [Spec_off], [force] → [Spec_force], an on spelling or unset →
+    [Spec_on]. *)
 
 val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
 (** The chunk-size heuristic: jobs per chunk such that each slot's
@@ -173,7 +168,7 @@ val maybe_become_worker : unit -> unit
 (** If this process carries [MP_SHARD_WORKER=1]: dup the protocol fds,
     redirect stdout to stderr (stray prints must not corrupt frames),
     serve request frames until EOF, then [exit 0]. If it carries
-    [MP_NET_WORKER] (["port"] or ["host:port"]): {!serve} on that
+    [MP_NET_WORKER] (["host:port"]): {!serve} on that
     address, then [exit 0]. Never returns in a worker process; a no-op
     otherwise. Called at [Machine] module-init, after the executor is
     installed. *)
@@ -188,24 +183,20 @@ val serve : ?host:string -> port:int -> unit -> unit
     idle). The process must not fan out while serving
     ({!env_procs}/{!env_hosts} report 0/[[]] for its lifetime). *)
 
-val spawn_worker :
-  ?env:(string * string) list -> ?host:string -> ?ready_timeout_s:float ->
-  port:int -> unit -> int
+val spawn_worker : ?env:(string * string) list -> port:int -> unit -> int
 (** Spawn a loopback TCP worker — a re-exec of [Sys.executable_name]
-    with [MP_NET_WORKER] set — wait until [host:port] (default
-    [127.0.0.1]) accepts connections, and return its pid. Raises
-    [Failure] (after killing the child) if the port is not accepting
-    within [ready_timeout_s] (default 30). Used by the bench harness
-    and tests; the caller owns the pid (SIGTERM + waitpid to stop
-    it). *)
+    with [MP_NET_WORKER] set — wait until [127.0.0.1:port] accepts
+    connections, and return its pid. Raises [Failure] (after killing
+    the child) if the port is not accepting within 30 s. Used by the
+    bench harness and tests; the caller owns the pid (SIGTERM +
+    waitpid to stop it). *)
 
 (** {2 Coordinator side} *)
 
 type pool
 
 val create_pool :
-  ?env:(string * string) list -> ?timeout_s:float ->
-  ?hosts:(string * int) list -> int -> pool
+  ?env:(string * string) list -> ?hosts:(string * int) list -> int -> pool
 (** A mixed pool: [n] worker subprocesses (re-execs of
     [Sys.executable_name]; none when [n = 0]) in slots [0..n-1],
     followed by one TCP peer per [hosts] entry, each peer required to
@@ -214,8 +205,9 @@ val create_pool :
     subprocess workers — the bench harness uses [("MP_POOL_SIZE", d)]
     to control each worker's domain count; the worker flag,
     [MP_PROCS=0] and [MP_HOSTS=""] are always set (remote peers bring
-    their own environment). [timeout_s] defaults to
-    {!env_timeout_s}. *)
+    their own environment). Each shard exchange is bounded by
+    [MP_PROC_TIMEOUT_S] seconds (default 300), read here; a worker
+    that exceeds it is treated as crashed. *)
 
 val pool_size : pool -> int
 (** Local + remote slots — the [shards] the placement fold sees. *)

@@ -220,47 +220,30 @@ let effective_width cost input =
     if !mx <= 0.0 then float_of_int n
     else Float.min (float_of_int n) (!total /. !mx)
 
-(* Deliberately permissive: speedup is bounded by the batch's width,
-   not the pool's size, so a width-6 batch on 8 workers still wins
-   ~6x and must fan out. The per-core criterion only exists to catch
-   batches so thin that most domains would wake up for nothing. *)
-let default_min_jobs_per_core = 0.25
-
-let env_min_jobs_per_core () =
-  match Sys.getenv_opt "MP_POOL_MIN_JOBS_PER_CORE" with
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some f when f >= 0.0 && Float.is_finite f -> f
-     | _ -> default_min_jobs_per_core)
-  | None -> default_min_jobs_per_core
-
 (* Fan out only when the batch can amortise domain wakeup/steal
    overhead: at least two jobs of comparable weight ([width >= 2] —
    below that, the batch is one dominant job plus crumbs and the
-   dominant job bounds wall-clock anyway), and enough width to feed
-   the pool ([min_jobs_per_core] per worker, default 1: a pool that
-   can't give every domain a job's worth of work mostly pays wakeups).
-   Serial execution of an unworthy batch is bit-identical by the map
-   contract, so the decision is pure scheduling. *)
-let worthwhile ~size ~jobs ~width ~min_jobs_per_core =
+   dominant job bounds wall-clock anyway), and [min_jobs_per_core]
+   largest-job equivalents per worker. That threshold is deliberately
+   permissive: speedup is bounded by the batch's width, not the pool's
+   size, so a width-6 batch on 8 workers still wins ~6x and must fan
+   out; the per-core criterion only catches batches so thin that most
+   domains would wake up for nothing. Serial execution of an unworthy
+   batch is bit-identical by the map contract, so the decision is pure
+   scheduling. *)
+let min_jobs_per_core = 0.25
+
+let worthwhile ~size ~jobs ~width =
   size > 1 && jobs >= 2 && width >= 2.0
   && width >= min_jobs_per_core *. float_of_int size
 
-let map ?cost ?min_jobs_per_core pool f xs =
+let map ?cost pool f xs =
   let forced_seq = pool.size <= 1 || pool.workers = [] || in_worker () in
   let input = Array.of_list xs in
   let n = Array.length input in
   let fan_out =
     (not forced_seq)
-    &&
-    let mjpc =
-      match min_jobs_per_core with
-      | Some v -> v
-      | None -> env_min_jobs_per_core ()
-    in
-    worthwhile ~size:pool.size ~jobs:n
-      ~width:(effective_width cost input)
-      ~min_jobs_per_core:mjpc
+    && worthwhile ~size:pool.size ~jobs:n ~width:(effective_width cost input)
   in
   if n >= 2 then
     Atomic.incr (if fan_out then pool.par_batches else pool.seq_batches);
@@ -339,16 +322,12 @@ let auto_chunk ~jobs ~workers =
     let target = 8 * max 1 workers in
     (jobs + target - 1) / target
 
-let map_chunked ?chunk ?cost ?min_jobs_per_core pool f xs =
+let map_chunked ?cost pool f xs =
   let n = List.length xs in
   if n = 0 then []
   else begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> auto_chunk ~jobs:n ~workers:pool.size
-    in
-    if chunk <= 1 then map ?cost ?min_jobs_per_core pool f xs
+    let chunk = auto_chunk ~jobs:n ~workers:pool.size in
+    if chunk <= 1 then map ?cost pool f xs
     else
       let chunk_cost =
         Option.map
@@ -356,44 +335,37 @@ let map_chunked ?chunk ?cost ?min_jobs_per_core pool f xs =
           cost
       in
       List.concat
-        (map ?cost:chunk_cost ?min_jobs_per_core pool
+        (map ?cost:chunk_cost pool
            (fun c -> seq_map f c)
            (chunks chunk xs))
   end
 
 let detected_cores () = Domain.recommended_domain_count ()
 
-let env_size () =
-  match Sys.getenv_opt "MP_POOL_SIZE" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n > 0 -> Some n
-     | _ -> None)
-  | None -> None
-
 (* An explicit MP_POOL_SIZE is honoured verbatim (deliberate pinning,
    e.g. oversubscription experiments); otherwise the pool gets one
    worker per detected core, never more — the pathology behind a
    4-worker pool "achieving" a 0.3x speedup on one core. *)
 let default_size () =
-  match env_size () with Some n -> n | None -> detected_cores ()
+  match Env.int "MP_POOL_SIZE" ~min:1 with
+  | Some n -> n
+  | None -> detected_cores ()
 
 let global_pool = ref None
 let global_lock = Mutex.create ()
 
+(* a rejected MP_POOL_SIZE raises inside the critical section;
+   [Mutex.protect] releases the lock that [shutdown_global] on every
+   exit path takes again *)
 let global () =
-  Mutex.lock global_lock;
-  let pool =
-    match !global_pool with
-    | Some p -> p
-    | None ->
-      let p = create (default_size ()) in
-      global_pool := Some p;
-      at_exit (fun () -> shutdown p);
-      p
-  in
-  Mutex.unlock global_lock;
-  pool
+  Mutex.protect global_lock (fun () ->
+      match !global_pool with
+      | Some p -> p
+      | None ->
+        let p = create (default_size ()) in
+        global_pool := Some p;
+        at_exit (fun () -> shutdown p);
+        p)
 
 (* Explicit counterpart to the at_exit hook: exit paths that want the
    domains joined *before* the process tears anything else down (the

@@ -24,8 +24,8 @@
       worker — degrades to sequential execution, so nested maps can
       never deadlock on the job deques.
     - Fan-out is {e adaptive}: a batch without enough parallel width
-      to amortise domain wakeup/steal overhead (see {!worthwhile} and
-      the [MP_POOL_MIN_JOBS_PER_CORE] knob) also runs sequentially.
+      to amortise domain wakeup/steal overhead (see {!worthwhile})
+      also runs sequentially.
       Either execution produces bit-identical results, so the decision
       is pure scheduling; {!serial_fallbacks} / {!parallel_batches}
       count the outcomes.
@@ -53,9 +53,7 @@ val shutdown : t -> unit
     Idempotent. Maps on a shut-down pool run sequentially. *)
 
 val map :
-  ?cost:('a -> float) ->
-  ?min_jobs_per_core:float ->
-  t -> ('a -> 'b) -> 'a list -> 'b list
+  ?cost:('a -> float) -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map: one job per element. [cost] is a
     scheduling hint — jobs are started heaviest-first (ties broken by
     input position) so long jobs don't land at the batch tail; it has
@@ -63,29 +61,22 @@ val map :
 
     The batch fans out only when {!worthwhile} says the parallelism
     can amortise domain overhead; otherwise it runs sequentially in
-    the caller (bit-identical either way). [min_jobs_per_core]
-    overrides the environment threshold for this call — [0.] forces
-    fan-out of any batch with width >= 2, large values force serial
-    (tests use both). *)
+    the caller (bit-identical either way). *)
 
 val auto_chunk : jobs:int -> workers:int -> int
-(** The chunk size {!map_chunked} derives when [?chunk] is omitted:
-    ceiling division of [jobs] targeting ~8 chunks per worker, so the
-    steal scheduler has slack to rebalance skewed tails while queue
-    traffic stays amortised. Always ≥ 1; small inputs get chunk 1
-    (plain {!map}). Exposed for tests and for callers that want to
-    report the effective granularity. *)
+(** The chunk size {!map_chunked} uses: ceiling division of [jobs]
+    targeting ~8 chunks per worker, so the steal scheduler has slack
+    to rebalance skewed tails while queue traffic stays amortised.
+    Always ≥ 1; small inputs get chunk 1 (plain {!map}). Exposed for
+    tests and for callers that want to report the effective
+    granularity. *)
 
 val map_chunked :
-  ?chunk:int ->
-  ?cost:('a -> float) ->
-  ?min_jobs_per_core:float ->
-  t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map} but groups elements into chunks to amortise queue
-    traffic when jobs are small. [chunk] overrides the {!auto_chunk}
-    default. A chunk's cost is the sum of its members'; result order is
-    input order either way. The adaptive fan-out decision is taken at
-    chunk granularity. *)
+  ?cost:('a -> float) -> t -> ('a -> 'b) -> 'a list -> 'b list
+(** Like {!map} but groups elements into {!auto_chunk}-sized chunks to
+    amortise queue traffic when jobs are small. A chunk's cost is the
+    sum of its members'; result order is input order either way. The
+    adaptive fan-out decision is taken at chunk granularity. *)
 
 (** {2 Adaptive fan-out}
 
@@ -102,22 +93,14 @@ val effective_width : ('a -> float) option -> 'a array -> float
     parallelism in "largest-job equivalents"; just [jobs] without a
     cost hint (or when every cost is <= 0). *)
 
-val worthwhile :
-  size:int -> jobs:int -> width:float -> min_jobs_per_core:float -> bool
+val worthwhile : size:int -> jobs:int -> width:float -> bool
 (** The fan-out predicate: a pool of [size] workers fans out a batch
     iff [size > 1], [jobs >= 2], [width >= 2] and
-    [width >= min_jobs_per_core * size]. Exposed pure for tests. *)
-
-val default_min_jobs_per_core : float
-(** 0.25 — deliberately permissive: speedup is bounded by the batch's
-    width, not the pool's size (a width-6 batch on 8 workers still
-    wins ~6x), so the per-core criterion only rejects batches so thin
-    that most domains would wake for nothing. *)
-
-val env_min_jobs_per_core : unit -> float
-(** [MP_POOL_MIN_JOBS_PER_CORE] parsed as a non-negative float,
-    otherwise {!default_min_jobs_per_core}. [0] disables the
-    jobs-per-core criterion (any batch of width >= 2 fans out). *)
+    [width >= 0.25 * size]. The per-core threshold is deliberately
+    permissive: speedup is bounded by the batch's width, not the
+    pool's size (a width-6 batch on 8 workers still wins ~6x), so it
+    only rejects batches so thin that most domains would wake for
+    nothing. Exposed pure for tests. *)
 
 val parallel_batches : t -> int
 (** Batches (>= 2 jobs) this pool fanned out since creation. Monotone
@@ -138,11 +121,14 @@ val default_size : unit -> int
 (** The pool size used by {!global}: an explicit [MP_POOL_SIZE]
     verbatim (deliberate pinning is honoured, even past the core
     count), otherwise {!detected_cores} — a pool never oversubscribes
-    a small machine by default. *)
+    a small machine by default. Raises [Invalid_argument] when
+    [MP_POOL_SIZE] is not an integer >= 1 ({!Env}). *)
 
 val global : unit -> t
 (** The process-wide shared pool, created on first use with
-    {!default_size} workers and shut down at exit. *)
+    {!default_size} workers and shut down at exit. A rejected
+    [MP_POOL_SIZE] raises and leaves no pool, so a later call with a
+    valid value creates one. *)
 
 val shutdown_global : unit -> unit
 (** Shut down and drop the {!global} pool now (a later {!global} call

@@ -78,11 +78,6 @@ let child_env overrides =
   in
   Array.of_list (ov @ inherited)
 
-let default_connect_timeout_s () =
-  match Sys.getenv_opt "MP_NET_CONNECT_TIMEOUT_S" with
-  | Some s -> (match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 10.0)
-  | None -> 10.0
-
 let new_slot kind label =
   {
     kind;
@@ -109,7 +104,9 @@ let create ?(prog = Sys.executable_name) ?(args = []) ?(env = []) ?(hosts = [])
     argv = Array.of_list (prog :: args);
     env = child_env env;
     handshake;
-    connect_timeout_s = default_connect_timeout_s ();
+    connect_timeout_s =
+      Option.value ~default:10.0
+        (Env.positive_float "MP_NET_CONNECT_TIMEOUT_S");
     lock = Mutex.create ();
     slots =
       Array.append
@@ -330,7 +327,7 @@ let writable t i =
     | exception _ -> false
     | _, w, _ -> w <> [])
 
-let shutdown ?(grace_s = 1.0) t =
+let shutdown t =
   locked t (fun () ->
       (* closing our end delivers EOF: a healthy worker exits on its own *)
       Array.iter
@@ -338,7 +335,7 @@ let shutdown ?(grace_s = 1.0) t =
           Option.iter close_fd s.fd;
           s.fd <- None)
         t.slots;
-      let deadline = Unix.gettimeofday () +. grace_s in
+      let deadline = Unix.gettimeofday () +. 1.0 in
       Array.iter
         (fun s ->
           let rec wait () =

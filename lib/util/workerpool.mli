@@ -93,11 +93,10 @@ val writable : t -> int -> bool
 (** Zero-timeout probe: [true] when another frame can start without
     blocking; [false] for a slot that is not open. *)
 
-val shutdown : ?grace_s:float -> t -> unit
+val shutdown : t -> unit
 (** Close every slot's fd (EOF lets a healthy subprocess exit on its
-    own), wait up to [grace_s] seconds (default 1.0) for the
-    subprocesses, then SIGKILL and reap the stragglers. Idempotent; a
-    later {!send} reopens. *)
+    own), wait up to one second for the subprocesses, then SIGKILL
+    and reap the stragglers. Idempotent; a later {!send} reopens. *)
 
 (** {2 Test hooks} *)
 

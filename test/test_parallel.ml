@@ -17,7 +17,10 @@ let test_map_order () =
 let test_map_chunked () =
   let pool = Mp_util.Parallel.create 3 in
   let xs = List.init 50 Fun.id in
-  let r = Mp_util.Parallel.map_chunked ~chunk:7 pool (fun x -> x + 1) xs in
+  (* chunks of 3 over 50 jobs: the last chunk is short *)
+  Alcotest.(check int) "uneven chunks" 2
+    (50 mod Mp_util.Parallel.auto_chunk ~jobs:50 ~workers:3);
+  let r = Mp_util.Parallel.map_chunked pool (fun x -> x + 1) xs in
   Mp_util.Parallel.shutdown pool;
   Alcotest.(check (list int)) "chunked order" (List.map (( + ) 1) xs) r
 
@@ -63,7 +66,7 @@ let test_cost_hint_preserves_order () =
      (heaviest first, dealt across deques, tails stolen) but the result
      must still read exactly like List.map *)
   let pool = Mp_util.Parallel.create 4 in
-  let xs = List.init 60 Fun.id in
+  let xs = List.init 70 Fun.id in
   let cost x = float_of_int (if x mod 7 = 0 then 100 * x else 1) in
   let f x =
     (* skewed wall-clock too, so stealing actually happens *)
@@ -72,8 +75,11 @@ let test_cost_hint_preserves_order () =
   in
   let r = Mp_util.Parallel.map ~cost pool f xs in
   Alcotest.(check (list int)) "cost-hinted order" (List.map f xs) r;
-  (* same with chunking: a chunk's cost is the sum of its members' *)
-  let rc = Mp_util.Parallel.map_chunked ~chunk:5 ~cost pool (fun x -> x + 1) xs in
+  (* same with chunking (chunks of 3 over 70 jobs, the last one
+     short): a chunk's cost is the sum of its members' *)
+  Alcotest.(check int) "uneven chunks" 1
+    (70 mod Mp_util.Parallel.auto_chunk ~jobs:70 ~workers:4);
+  let rc = Mp_util.Parallel.map_chunked ~cost pool (fun x -> x + 1) xs in
   Alcotest.(check (list int)) "chunked cost-hinted order"
     (List.map (( + ) 1) xs) rc;
   Mp_util.Parallel.shutdown pool
@@ -169,8 +175,10 @@ let test_default_size_env () =
   (* an explicit pin is honoured verbatim, even past the core count *)
   Alcotest.(check int) "env override" 3 (Mp_util.Parallel.default_size ());
   Unix.putenv "MP_POOL_SIZE" "not-a-number";
-  Alcotest.(check bool) "garbage ignored" true
-    (Mp_util.Parallel.default_size () >= 1);
+  Alcotest.check_raises "garbage rejected"
+    (Invalid_argument
+       "MP_POOL_SIZE=\"not-a-number\": expected an integer >= 1")
+    (fun () -> ignore (Mp_util.Parallel.default_size ()));
   Unix.putenv "MP_POOL_SIZE" "";
   (* without a pin the effective size never exceeds the detected core
      count — a default pool must not oversubscribe a small machine *)
@@ -180,6 +188,23 @@ let test_default_size_env () =
     (Mp_util.Parallel.default_size ());
   Alcotest.(check bool) "capped at cores" true
     (Mp_util.Parallel.default_size () <= cores)
+
+(* A rejected MP_POOL_SIZE must not leave the global pool's lock held:
+   the next [global] — and [shutdown_global] on every exit path — takes
+   it again. *)
+let test_global_after_rejected_size () =
+  Mp_util.Parallel.shutdown_global ();
+  Unix.putenv "MP_POOL_SIZE" "four";
+  let raised =
+    match Mp_util.Parallel.global () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Unix.putenv "MP_POOL_SIZE" "";
+  Alcotest.(check bool) "rejected" true raised;
+  Alcotest.(check int) "a pool after the variable is cleared"
+    (Mp_util.Parallel.detected_cores ())
+    (Mp_util.Parallel.size (Mp_util.Parallel.global ()))
 
 (* ----- adaptive fan-out ----------------------------------------------------- *)
 
@@ -200,39 +225,19 @@ let test_effective_width () =
 let test_worthwhile () =
   let w = Mp_util.Parallel.worthwhile in
   Alcotest.(check bool) "size-1 pool never fans out" false
-    (w ~size:1 ~jobs:100 ~width:100. ~min_jobs_per_core:0.);
+    (w ~size:1 ~jobs:100 ~width:100.);
   Alcotest.(check bool) "a single job never fans out" false
-    (w ~size:8 ~jobs:1 ~width:1. ~min_jobs_per_core:0.);
+    (w ~size:8 ~jobs:1 ~width:1.);
   Alcotest.(check bool) "width below 2 never fans out" false
-    (w ~size:8 ~jobs:10 ~width:1.5 ~min_jobs_per_core:0.);
+    (w ~size:8 ~jobs:10 ~width:1.5);
   (* a width-6 batch on 8 workers still wins ~6x: the permissive
-     default threshold (0.25 jobs/core = width 2 on 8 workers) keeps it
+     threshold (0.25 jobs/core = width 2 on 8 workers) keeps it
      parallel *)
-  Alcotest.(check bool) "moderate width fans out at the default" true
-    (w ~size:8 ~jobs:10 ~width:6.
-       ~min_jobs_per_core:Mp_util.Parallel.default_min_jobs_per_core);
-  Alcotest.(check bool) "a strict threshold rejects the same batch" false
-    (w ~size:8 ~jobs:10 ~width:6. ~min_jobs_per_core:1.);
-  Alcotest.(check bool) "zero disables the per-core criterion" true
-    (w ~size:16 ~jobs:4 ~width:2. ~min_jobs_per_core:0.)
-
-let test_min_jobs_per_core_env () =
-  let d = Mp_util.Parallel.default_min_jobs_per_core in
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "2.5";
-  Alcotest.(check (float 1e-9)) "env override" 2.5
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "0";
-  Alcotest.(check (float 1e-9)) "zero accepted" 0.
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "not-a-number";
-  Alcotest.(check (float 1e-9)) "garbage ignored" d
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "-3";
-  Alcotest.(check (float 1e-9)) "negative ignored" d
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "";
-  Alcotest.(check (float 1e-9)) "unset falls back to the default" d
-    (Mp_util.Parallel.env_min_jobs_per_core ())
+  Alcotest.(check bool) "moderate width fans out" true
+    (w ~size:8 ~jobs:10 ~width:6.);
+  (* width 3 on 16 workers is below 0.25 jobs/core (width 4) *)
+  Alcotest.(check bool) "a too-thin batch runs serial" false
+    (w ~size:16 ~jobs:4 ~width:3.)
 
 let test_adaptive_fallback_counters () =
   let pool = Mp_util.Parallel.create 4 in
@@ -257,20 +262,21 @@ let test_adaptive_fallback_counters () =
     (List.map (fun x -> 2 * x) xs) r2;
   Alcotest.(check int) "counted as parallel" (pb1 + 1)
     (Mp_util.Parallel.parallel_batches pool);
-  (* the per-call override forces the same batch serial — bit-identical *)
+  (* a dominating cost hint forces the same batch serial —
+     bit-identical *)
+  let dominated x = if x = 0 then 1e9 else 1. in
   let sf1 = Mp_util.Parallel.serial_fallbacks pool in
-  let r3 = Mp_util.Parallel.map ~min_jobs_per_core:1000. pool (fun x -> 2 * x) xs in
+  let r3 = Mp_util.Parallel.map ~cost:dominated pool (fun x -> 2 * x) xs in
   Alcotest.(check (list int)) "forced-serial results identical" r2 r3;
-  Alcotest.(check int) "override counted as a fallback" (sf1 + 1)
+  Alcotest.(check int) "dominated batch counted as a fallback" (sf1 + 1)
     (Mp_util.Parallel.serial_fallbacks pool);
-  (* ... and map_chunked threads the override through *)
+  (* ... and map_chunked threads the hint through *)
   let sf2 = Mp_util.Parallel.serial_fallbacks pool in
   let r4 =
-    Mp_util.Parallel.map_chunked ~min_jobs_per_core:1000. pool
-      (fun x -> 2 * x) xs
+    Mp_util.Parallel.map_chunked ~cost:dominated pool (fun x -> 2 * x) xs
   in
   Alcotest.(check (list int)) "chunked forced-serial identical" r2 r4;
-  Alcotest.(check bool) "chunked override counted" true
+  Alcotest.(check bool) "chunked fallback counted" true
     (Mp_util.Parallel.serial_fallbacks pool > sf2);
   Mp_util.Parallel.shutdown pool;
   (* a size-1 pool books every multi-job batch as a fallback *)
@@ -499,6 +505,29 @@ let test_run_batch_worker_crash_recovers () =
   check_identical "respawned pool vs serial" serial
     (Machine.run_batch ~procs:2 m3 jobs)
 
+(* A malformed sharding knob stops the batch before its first job: the
+   exception names the variable, and the machine's cache saw no
+   lookup. *)
+let check_batch_rejects var value () =
+  let a = Arch.power7 () in
+  let m = Machine.create ~replay:false a.Arch.uarch in
+  Unix.putenv var value;
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv var "")
+      (fun () ->
+        match Machine.run_batch m (mixed_jobs a) with
+        | _ -> "ran in-process"
+        | exception Invalid_argument msg -> msg)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejection names %s (got %S)" var outcome)
+    true
+    (String.starts_with ~prefix:(var ^ "=") outcome);
+  let s = Measurement_cache.stats (Option.get (Machine.measurement_cache m)) in
+  Alcotest.(check int) "no job ran" 0
+    (s.Measurement_cache.hits + s.Measurement_cache.misses)
+
 (* ----- multi-host run_batch -------------------------------------------------- *)
 
 (* Remote workers are re-execs of this test binary serving the shard
@@ -656,8 +685,13 @@ let test_speculate_knob_env () =
   Alcotest.(check bool) "off" true (spec "off" = Shard_exec.Spec_off);
   Alcotest.(check bool) "0 is off" true (spec "0" = Shard_exec.Spec_off);
   Alcotest.(check bool) "false is off" true (spec "FALSE" = Shard_exec.Spec_off);
+  Alcotest.(check bool) "no is off" true (spec "no" = Shard_exec.Spec_off);
   Alcotest.(check bool) "force" true (spec "force" = Shard_exec.Spec_force);
   Alcotest.(check bool) "on" true (spec "on" = Shard_exec.Spec_on);
+  Alcotest.(check bool) "garbage rejected" true
+    (match spec "sometimes" with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "unset means on" true (spec "" = Shard_exec.Spec_on)
 
 let test_chunk_heuristic () =
@@ -785,12 +819,12 @@ let () =
          Alcotest.test_case "steal counter" `Quick test_steal_counter;
          Alcotest.test_case "nested map degrades" `Quick
            test_nested_map_degrades;
-         Alcotest.test_case "MP_POOL_SIZE" `Quick test_default_size_env ]);
+         Alcotest.test_case "MP_POOL_SIZE" `Quick test_default_size_env;
+         Alcotest.test_case "global after a rejected MP_POOL_SIZE" `Quick
+           test_global_after_rejected_size ]);
       ("adaptive fan-out",
        [ Alcotest.test_case "effective width" `Quick test_effective_width;
          Alcotest.test_case "worthwhile predicate" `Quick test_worthwhile;
-         Alcotest.test_case "MP_POOL_MIN_JOBS_PER_CORE" `Quick
-           test_min_jobs_per_core_env;
          Alcotest.test_case "fallback counters" `Quick
            test_adaptive_fallback_counters ]);
       ("run_batch",
@@ -812,14 +846,18 @@ let () =
        [ Alcotest.test_case "procs bit-identical vs serial" `Quick
            test_run_batch_procs_matches_serial;
          Alcotest.test_case "worker crash recovers" `Quick
-           test_run_batch_worker_crash_recovers ]);
+           test_run_batch_worker_crash_recovers;
+         Alcotest.test_case "malformed MP_PROCS rejected" `Quick
+           (check_batch_rejects "MP_PROCS" "two") ]);
       ("multi-host",
        [ Alcotest.test_case "remote bit-identical vs serial" `Quick
            test_run_batch_remote_matches_serial;
          Alcotest.test_case "remote crash recovers + reconnects" `Quick
            test_run_batch_remote_crash_recovers;
          Alcotest.test_case "handshake rejection backs off" `Quick
-           test_handshake_rejected ]);
+           test_handshake_rejected;
+         Alcotest.test_case "malformed MP_HOSTS rejected" `Quick
+           (check_batch_rejects "MP_HOSTS" "127.0.0.1:notaport") ]);
       ("dynamic scheduler",
        [ Alcotest.test_case "MP_SPECULATE" `Quick test_speculate_knob_env;
          Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;

@@ -1,7 +1,7 @@
 (* The engine's process-wide state under concurrent first use: the
    binary stamp behind Measurement_cache.namespace, the key-time counter
-   behind Measurement_cache.key and the MP_PERIOD default behind a
-   Core_sim.run without [?period]. This executable's first action, before
+   behind Measurement_cache.key and the period-skipping telemetry behind
+   a Core_sim.run without [?period]. This executable's first action, before
    anything else in the process consults them, is to have four domains,
    released together, use all three at once; the checks then run on
    what each domain saw. *)

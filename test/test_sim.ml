@@ -791,12 +791,33 @@ let test_cache_gc_env () =
   Alcotest.(check (option int)) "fractional" (Some (512 * 1024))
     (Measurement_cache.env_max_bytes ());
   Unix.putenv "MP_CACHE_MAX_MB" "junk";
-  Alcotest.(check (option int)) "garbage ignored" None
-    (Measurement_cache.env_max_bytes ());
+  Alcotest.check_raises "garbage rejected"
+    (Invalid_argument "MP_CACHE_MAX_MB=\"junk\": expected a number > 0")
+    (fun () -> ignore (Measurement_cache.env_max_bytes ()));
   Unix.putenv "MP_CACHE_MAX_MB" "-3";
-  Alcotest.(check (option int)) "negative ignored" None
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "MP_CACHE_MAX_MB=\"-3\": expected a number > 0")
+    (fun () -> ignore (Measurement_cache.env_max_bytes ()));
+  Unix.putenv "MP_CACHE_MAX_MB" " ";
+  Alcotest.(check (option int)) "blank is unset" None
     (Measurement_cache.env_max_bytes ());
   Unix.putenv "MP_CACHE_MAX_MB" ""
+
+(* a typo in MP_CACHE stops [Machine.create] instead of leaving the
+   disk cache on *)
+let test_cache_flag_rejected () =
+  let a = arch () in
+  Unix.putenv "MP_CACHE" "of";
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "MP_CACHE" "")
+      (fun () ->
+        match Machine.create a.Arch.uarch with
+        | _ -> "created"
+        | exception Invalid_argument msg -> msg)
+  in
+  Alcotest.(check string) "rejected"
+    "MP_CACHE=\"of\": expected on|off|1|0|true|false|yes|no" outcome
 
 (* ----- structural keys and batch dedup -------------------------------------- *)
 
@@ -1536,6 +1557,8 @@ let () =
          Alcotest.test_case "single flight" `Quick test_single_flight;
          Alcotest.test_case "gc size bound" `Quick test_cache_gc;
          Alcotest.test_case "MP_CACHE_MAX_MB" `Quick test_cache_gc_env;
+         Alcotest.test_case "malformed MP_CACHE rejected" `Quick
+           test_cache_flag_rejected;
          Alcotest.test_case "shard layout" `Quick test_disk_cache_shard_layout;
          Alcotest.test_case "replay store pruned and gc'd" `Quick
            test_replay_store_housekeeping ]);

@@ -364,6 +364,87 @@ let test_frame_oversized_write_rejected () =
         (Invalid_argument "Transport.write_frame: frame too large")
         (fun () -> Transport.write_frame w huge))
 
+(* ----- env -------------------------------------------------------------- *)
+
+(* The knob grammar, one row per (reader, value): [Some] is the parsed
+   value as text, [None] a rejection, whose message must name the
+   variable, the trimmed value and the expected form. *)
+let test_env_grammar () =
+  let var = "MP_TEST_KNOB" in
+  let opt f = function None -> "absent" | Some x -> f x in
+  let flag n = string_of_bool (Env.flag n ~default:false) in
+  let choice n =
+    Env.choice n ~default:"default" [ ("packed", "P"); ("list", "L") ]
+  in
+  let int0 n = opt string_of_int (Env.int n ~min:0) in
+  let int1 n = opt string_of_int (Env.int n ~min:1) in
+  let pos n = opt string_of_float (Env.positive_float n) in
+  let hosts n =
+    String.concat ","
+      (List.map (fun (h, p) -> Printf.sprintf "%s/%d" h p) (Env.hosts n))
+  in
+  let get n = opt Fun.id (Env.get n) in
+  let spellings =
+    List.concat_map
+      (fun (w, b) ->
+        List.map
+          (fun w -> ("flag", flag, w, Some (string_of_bool b)))
+          [ w; String.uppercase_ascii w; String.capitalize_ascii w ])
+      Env.flag_words
+  in
+  let rows =
+    spellings
+    @ [ ("flag", flag, "", Some "false");
+        ("flag", flag, " yes ", Some "true");
+        ("flag", flag, "of", None);
+        ("flag", flag, "enabled", None);
+        ("flag", flag, "2", None);
+        ("choice", choice, "LIST", Some "L");
+        ("choice", choice, " ", Some "default");
+        ("choice", choice, "fast", None);
+        ("choice", choice, "reference", None);
+        ("int", int0, "0", Some "0");
+        ("int", int0, "-1", None);
+        ("int", int1, " 4 ", Some "4");
+        ("int", int1, "", Some "absent");
+        ("int", int1, "0", None);
+        ("int", int1, "four", None);
+        ("int", int1, "2.5", None);
+        ("float", pos, "0.5", Some "0.5");
+        ("float", pos, "", Some "absent");
+        ("float", pos, "0", None);
+        ("float", pos, "-3", None);
+        ("float", pos, "inf", None);
+        ("float", pos, "nan", None);
+        ("float", pos, "5s", None);
+        ("hosts", hosts, "a:1, ::1:7000 ,b:65535", Some "a/1,::1/7000,b/65535");
+        ("hosts", hosts, "", Some "");
+        ("hosts", hosts, "127.0.0.1:notaport", None);
+        ("hosts", hosts, "a:1,b", None);
+        ("hosts", hosts, "a:0", None);
+        ("hosts", hosts, "a:65536", None);
+        ("hosts", hosts, ":80", None);
+        ("get", get, "  x  ", Some "x");
+        ("get", get, " ", Some "absent") ]
+  in
+  List.iter
+    (fun (reader, f, value, expected) ->
+      Unix.putenv var value;
+      let got =
+        match f var with
+        | v -> Some v
+        | exception Invalid_argument msg ->
+          let prefix = Printf.sprintf "%s=%S: expected " var value in
+          Alcotest.(check bool) ("message: " ^ msg) true
+            (String.starts_with ~prefix msg);
+          None
+      in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s %S" reader value)
+        expected got)
+    rows;
+  Unix.putenv var ""
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_int_in_bounds; prop_int_in_range; prop_shuffle_permutation;
       prop_float_bounds; prop_percentile_monotone; prop_mean_bounded;
@@ -418,5 +499,6 @@ let () =
            test_case "oversized write rejected" `Quick
              test_frame_oversized_write_rejected ]
        @ transport_qsuite);
+      ("env", [ Alcotest.test_case "knob grammar" `Quick test_env_grammar ]);
       ("properties", qsuite);
     ]
