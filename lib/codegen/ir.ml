@@ -184,12 +184,12 @@ let validate t =
   in
   check 0
 
+(* over the two 32-bit halves as native ints: an [int64] threaded
+   through a recursive call is boxed at every step *)
 let popcount64 v =
-  let rec go acc v =
-    if Int64.equal v 0L then acc
-    else go (acc + 1) Int64.(logand v (sub v 1L))
-  in
-  go 0 v
+  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+  go (go 0 (Int64.to_int v land 0xFFFF_FFFF))
+    (Int64.to_int (Int64.shift_right_logical v 32))
 
 let data_activity_factor t =
   (* register data only: immediates are narrow fields whose 64-bit

@@ -226,6 +226,32 @@ let prefetch_streak = function
   | P c -> c.p_streak
   | R r -> Cache_sim_list.prefetch_streak r
 
+(* Back to the state [create_packed] builds. Every access leaves its
+   line in L1, and a line is never -1 (its offset bits are clear), so an
+   all-empty L1 means no access since create or reset: the line and hash
+   arrays of a cache only compute runs used are left as they are. *)
+let reset_packed c =
+  let accessed =
+    Array.length c.plevels > 0
+    && Array.exists (fun l -> l <> -1) c.plevels.(0).lines
+  in
+  if accessed then begin
+    Array.iter
+      (fun lvl ->
+        Array.fill lvl.lines 0 (Array.length lvl.lines) (-1);
+        Array.fill lvl.set_hash 0 (Array.length lvl.set_hash) 0)
+      c.plevels;
+    c.digest <- 0
+  end;
+  Array.fill c.counts 0 n_ranks 0;
+  c.p_last <- min_int;
+  c.p_streak <- 0;
+  c.p_count <- 0
+
+let reset = function
+  | P c -> reset_packed c
+  | R r -> Cache_sim_list.reset r
+
 let reset_stats = function
   | P c ->
     Array.fill c.counts 0 n_ranks 0;

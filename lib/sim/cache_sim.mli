@@ -44,6 +44,11 @@ val prefetch_streak : t -> int
     the prefetcher consults, so saturation keeps behavioural state
     periodic on endless sequential walks. *)
 
+val reset : t -> unit
+(** Return to the state {!create} builds: every line empty, counters
+    and prefetcher cleared, the same digest and fingerprint. Lets one
+    cache serve run after run without reallocating its arrays. *)
+
 val reset_stats : t -> unit
 (** Clear counters but keep cache contents (for warmup/measure
     separation). *)

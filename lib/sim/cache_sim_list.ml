@@ -125,6 +125,15 @@ let reset_stats t =
   List.iter (fun (_, r) -> r := 0) t.counts;
   t.prefetch_count <- 0
 
+let reset t =
+  List.iter
+    (fun lvl ->
+      Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) lvl.lines)
+    t.levels;
+  reset_stats t;
+  t.prefetch_last <- min_int;
+  t.prefetch_streak <- 0
+
 (* ----- period-skipping support ------------------------------------------- *)
 
 let stats_snapshot t =

@@ -18,6 +18,9 @@ val prefetch_streak : t -> int
 (** The live sequential-stride streak, saturated at 3 (the only bound
     the prefetcher consults). *)
 
+val reset : t -> unit
+(** Back to the state {!create} builds. *)
+
 val reset_stats : t -> unit
 
 val stats_snapshot : t -> int array

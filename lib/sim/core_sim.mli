@@ -10,7 +10,9 @@
     (per-opcode issue counts, pipe opcode-switch events). *)
 
 type opmap
-(** Dense opcode-id interning shared by a set of runs. *)
+(** Dense opcode-id interning shared by a set of runs. It also keeps
+    each opcode's decoded resource entry (pipe uses, masks, pipe class,
+    latency), so deploying an opcode again does not re-derive it. *)
 
 val opmap_create : unit -> opmap
 val opmap_size : opmap -> int
@@ -36,7 +38,9 @@ val deploy :
 (** [streams idx] supplies the cyclic address stream for the memory
     instruction at body index [idx] (raises if consulted for an index
     the caller did not prepare). An implicit loop-closing [bdnz] is
-    appended to the body. *)
+    appended to the body. Each opcode's resource entry is decoded once
+    into [opmap] for [uarch] and shared by later deploys. Raises
+    [Invalid_argument] for a register outside its file. *)
 
 type activity = {
   measured_cycles : int;
@@ -70,7 +74,11 @@ val run :
     iteration boundary inside the measured window, the remaining whole
     periods are credited by exact counter-delta scaling instead of
     being simulated; the returned {!activity} is bit-identical to a
-    dense run either way, only wall-clock time differs. *)
+    dense run either way, only wall-clock time differs.
+
+    A run borrows its calendars and packed cache from a per-domain
+    arena and returns them when it returns, so a warm run allocates
+    nothing in the major heap. *)
 
 type period_delta = {
   pd_period_iters : int;  (** loop iterations per period (every thread) *)

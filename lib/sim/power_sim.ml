@@ -13,6 +13,13 @@ let static_power ~(table : Energy_table.t) ~(config : Uarch_def.config) =
   +. (table.cmp_quad *. n *. n)
   +. (if config.Uarch_def.smt > 1 then table.smt_overhead *. n else 0.0)
 
+(* Opcode names are distinct per id, so names alone order both the
+   issue counts and the transition pairs, as polymorphic [compare] on
+   the whole tuples did. *)
+let compare_pair (a1, b1, _) (a2, b2, _) =
+  let c = String.compare a1 a2 in
+  if c <> 0 then c else String.compare b1 b2
+
 let core_dynamic ~(table : Energy_table.t) ~opmap ~(activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
   let scale = table.data_scale activity.Core_sim.daf in
@@ -32,7 +39,7 @@ let core_dynamic ~(table : Energy_table.t) ~opmap ~(activity : Core_sim.activity
       (fun acc (name, count) ->
         acc +. (float_of_int count *. table.opcode_epi name))
       0.0
-      (List.sort compare !issued)
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) !issued)
   in
   let cache_energy = ref 0.0 in
   Array.iteri
@@ -55,7 +62,7 @@ let core_dynamic ~(table : Energy_table.t) ~opmap ~(activity : Core_sim.activity
       (fun acc (a, b, count) ->
         acc +. (float_of_int count *. table.transition_energy a b))
       0.0
-      (List.sort compare
+      (List.sort compare_pair
          (List.map
             (fun (a, b, count) ->
               (Core_sim.opmap_name opmap a, Core_sim.opmap_name opmap b, count))
