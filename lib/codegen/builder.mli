@@ -9,17 +9,15 @@ type dep_mode =
 
 type value_policy = Random_values | Constant of int64
 
-type slot = {
-  mutable op : Mp_isa.Instruction.t option;
-  mutable mem_target : Ir.level option;
-  mutable pattern : bool array option;
-}
-
 type t = {
   arch : Arch.t;
   rng : Mp_util.Rng.t;
   mutable name : string;
-  mutable slots : slot array;
+  mutable ops : Mp_isa.Instruction.t option array;
+      (** per slot; [None] until a fill pass places an instruction *)
+  mutable mem_targets : Ir.level option array;  (** per slot *)
+  mutable patterns : bool array option array;
+      (** per slot: branch outcome patterns *)
   mutable mem_distribution : (Ir.level * float) list option;
   mutable dep_mode : dep_mode;
   mutable reg_policy : value_policy;
@@ -30,7 +28,8 @@ type t = {
 val create : Arch.t -> Mp_util.Rng.t -> t
 
 val set_skeleton : t -> int -> unit
-(** Allocate [n] empty slots. Raises if already set. *)
+(** Allocate [n] empty slots: the three per-slot arrays. Raises if
+    already set. *)
 
 val size : t -> int
 (** 0 before the skeleton pass. *)

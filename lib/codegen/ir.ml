@@ -44,29 +44,41 @@ let level_id = function
   | Mp_uarch.Cache_geometry.L3 -> 3
   | Mp_uarch.Cache_geometry.MEM -> 4
 
-let fold_regs h rs =
-  List.fold_left
-    (fun h r -> Mp_util.Fnv.int h (reg_id r))
-    (Mp_util.Fnv.int h (List.length rs))
-    rs
+(* Both content hashes in one pass over the program: every byte goes to
+   an accumulator that started from the name and to one that did not
+   ({!Mp_util.Fnv.pair}), and folding allocates nothing. *)
+let byte = Mp_util.Fnv.pair_byte
+let int = Mp_util.Fnv.pair_int
+let int64 = Mp_util.Fnv.pair_int64
 
-let fold_instr h (i : instr) =
-  let open Mp_util.Fnv in
-  let h = string h i.op.Mp_isa.Instruction.mnemonic in
-  let h = fold_regs h i.dests in
-  let h = fold_regs h i.srcs in
-  let h =
-    match i.imm with None -> byte h 0 | Some v -> int64 (byte h 1) v
-  in
-  let h =
-    match i.mem_target with
-    | None -> byte h 0
-    | Some l -> byte h (0x10 + level_id l)
-  in
+let rec fold_regs l = function
+  | [] -> ()
+  | r :: rs ->
+    int l (reg_id r);
+    fold_regs l rs
+
+let fold_instr l (i : instr) =
+  Mp_util.Fnv.pair_string l i.op.Mp_isa.Instruction.mnemonic;
+  int l (List.length i.dests);
+  fold_regs l i.dests;
+  int l (List.length i.srcs);
+  fold_regs l i.srcs;
+  (match i.imm with
+   | None -> byte l 0
+   | Some v ->
+     byte l 1;
+     int64 l v);
+  (match i.mem_target with
+   | None -> byte l 0
+   | Some lv -> byte l (0x10 + level_id lv));
   match i.taken_pattern with
-  | None -> byte h 0
+  | None -> byte l 0
   | Some pat ->
-    Array.fold_left bool (int (byte h 1) (Array.length pat)) pat
+    byte l 1;
+    int l (Array.length pat);
+    for k = 0 to Array.length pat - 1 do
+      byte l (if pat.(k) then 1 else 0)
+    done
 
 (* Everything a measurement can depend on through the program itself:
    the name (per-run RNGs are seeded from it), the instruction stream
@@ -76,47 +88,43 @@ let fold_instr h (i : instr) =
    [provenance] are deliberately excluded — they are metadata about how
    the program was built, already reflected in the fields above
    (provenance additionally decides seed-independence, which the cache
-   key accounts for separately). *)
-let fold_content h ~body ~reg_init ~memory_distribution =
-  let open Mp_util.Fnv in
-  let h = int h (Array.length body) in
-  let h = Array.fold_left fold_instr h body in
-  let h = int h (List.length reg_init) in
-  let h =
-    List.fold_left
-      (fun h (r, v) -> int64 (int h (reg_id r)) v)
-      h reg_init
-  in
-  match memory_distribution with
-  | None -> byte h 0
-  | Some dist ->
-    List.fold_left
-      (fun h (l, w) -> int64 (byte h (level_id l)) (Int64.bits_of_float w))
-      (int (byte h 1) (List.length dist))
-      dist
+   key accounts for separately).
 
-let compute_struct_hash ~name ~body ~reg_init ~memory_distribution =
-  let open Mp_util.Fnv in
-  finish
-    (fold_content (string seed name) ~body ~reg_init ~memory_distribution)
-
-(* Same content fold minus the name: two programs that differ only in
-   their label collapse to the same body hash. The name matters to a
+   The body hash is the same fold minus the name: two programs that
+   differ only in their label share it. The name matters to a
    measurement only through the per-run RNG, and only for programs
    that consume randomness (memory streams); name-insensitive layers —
-   the steady-state replay table in particular — key on this hash and
-   account for the RNG channel separately. *)
-let compute_body_hash ~body ~reg_init ~memory_distribution =
-  Mp_util.Fnv.(finish (fold_content seed ~body ~reg_init ~memory_distribution))
+   the steady-state replay table in particular — key on it and account
+   for the RNG channel separately. *)
+let compute_hashes ~name ~body ~reg_init ~memory_distribution =
+  let l = Mp_util.Fnv.pair ~prefix:name in
+  int l (Array.length body);
+  Array.iter (fold_instr l) body;
+  int l (List.length reg_init);
+  List.iter
+    (fun (r, v) ->
+      int l (reg_id r);
+      int64 l v)
+    reg_init;
+  (match memory_distribution with
+   | None -> byte l 0
+   | Some dist ->
+     byte l 1;
+     int l (List.length dist);
+     List.iter
+       (fun (lv, w) ->
+         byte l (level_id lv);
+         int64 l (Int64.bits_of_float w))
+       dist);
+  let named, bare = Mp_util.Fnv.values l in
+  (Mp_util.Fnv.finish named, Mp_util.Fnv.finish bare)
 
 let rehash t =
-  { t with
-    struct_hash =
-      compute_struct_hash ~name:t.name ~body:t.body ~reg_init:t.reg_init
-        ~memory_distribution:t.memory_distribution;
-    body_hash =
-      compute_body_hash ~body:t.body ~reg_init:t.reg_init
-        ~memory_distribution:t.memory_distribution }
+  let struct_hash, body_hash =
+    compute_hashes ~name:t.name ~body:t.body ~reg_init:t.reg_init
+      ~memory_distribution:t.memory_distribution
+  in
+  { t with struct_hash; body_hash }
 
 let struct_hash t = t.struct_hash
 
@@ -139,6 +147,20 @@ let memory_instructions t =
   Array.to_list t.body
   |> List.filter (fun i -> Instruction.is_memory i.op)
 
+let rec all_of_class cls = function
+  | [] -> true
+  | r :: rs -> Reg.class_of r = cls && all_of_class cls rs
+
+(* at most one source of the (non-GPR) data class, every other one a
+   GPR address source *)
+let rec store_sources_ok data_class ~data = function
+  | [] -> true
+  | r :: rs ->
+    let c = Reg.class_of r in
+    if c = data_class && data_class <> Instruction.Gpr then
+      (not data) && store_sources_ok data_class ~data:true rs
+    else c = Instruction.Gpr && store_sources_ok data_class ~data rs
+
 let check_instr i =
   let op = i.op in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -151,22 +173,13 @@ let check_instr i =
       match op.mem with
       | Instruction.No_mem ->
         (* data sources follow the instruction's register file *)
-        Instruction.is_branch op
-        || List.for_all (fun r -> Reg.class_of r = op.data_class) i.srcs
+        Instruction.is_branch op || all_of_class op.data_class i.srcs
       | Instruction.Load ->
         (* only address sources, which are GPRs *)
-        List.for_all (fun r -> Reg.class_of r = Instruction.Gpr) i.srcs
+        all_of_class Instruction.Gpr i.srcs
       | Instruction.Store ->
         (* exactly one data source of the data class; addresses are GPRs *)
-        let data, addr =
-          List.partition
-            (fun r ->
-              Reg.class_of r = op.data_class
-              && op.data_class <> Instruction.Gpr)
-            i.srcs
-        in
-        List.length data <= 1
-        && List.for_all (fun r -> Reg.class_of r = Instruction.Gpr) addr
+        store_sources_ok op.data_class ~data:false i.srcs
     in
     if not src_ok then
       fail "%s at %d: source register class mismatch" op.mnemonic i.index

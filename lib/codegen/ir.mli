@@ -30,38 +30,36 @@ type t = {
   provenance : string list;     (** names of the passes applied, in order *)
   struct_hash : int64;
       (** structural content hash, precomputed at {!Builder.finalize}
-          time — see {!compute_struct_hash} *)
+          time — see {!compute_hashes} *)
   body_hash : int64;
       (** like [struct_hash] but excluding the name — see
-          {!compute_body_hash} *)
+          {!compute_hashes} *)
 }
 
 val size : t -> int
 (** Payload instructions in the loop body. *)
 
-val compute_struct_hash :
+val compute_hashes :
   name:string ->
   body:instr array ->
   reg_init:(Reg.t * int64) list ->
   memory_distribution:(level * float) list option ->
-  int64
-(** 64-bit FNV/splitmix content hash of everything a measurement can
-    depend on through the program: name, instruction stream (opcodes,
-    operands, immediates, memory targets, branch patterns), register
-    initialisation and memory distribution. [imm_policy] and
-    [provenance] are excluded (build metadata, already reflected in the
-    hashed fields). Deterministic across processes, so it is safe in
-    persistent cache keys; the measurement cache folds this precomputed
-    field instead of re-serialising the program on every lookup. *)
+  int64 * int64
+(** [(struct_hash, body_hash)] in one pass over the program.
 
-val compute_body_hash :
-  body:instr array ->
-  reg_init:(Reg.t * int64) list ->
-  memory_distribution:(level * float) list option ->
-  int64
-(** The same content fold as {!compute_struct_hash} {e without} the
-    name: programs differing only in their label share it. The name
-    reaches a measurement only through the per-run RNG (address-stream
+    The struct hash is a 64-bit FNV/splitmix content hash of everything
+    a measurement can depend on through the program: name, instruction
+    stream (opcodes, operands, immediates, memory targets, branch
+    patterns), register initialisation and memory distribution.
+    [imm_policy] and [provenance] are excluded (build metadata, already
+    reflected in the hashed fields). Deterministic across processes, so
+    it is safe in persistent cache keys; the measurement cache folds
+    this precomputed field instead of re-serialising the program on
+    every lookup.
+
+    The body hash is the same content fold {e without} the name:
+    programs differing only in their label share it. The name reaches a
+    measurement only through the per-run RNG (address-stream
     randomisation for memory programs, sensor noise), so
     name-insensitive layers — the steady-state {!Mp_sim.Replay} table —
     key on this hash and fold the RNG inputs in separately, exactly

@@ -18,12 +18,11 @@ let fill_weighted weighted =
       (fun b ->
         Builder.require_skeleton b name;
         check_candidates name weighted;
-        let ops = Array.of_list (List.map fst weighted) in
+        let ops = Array.of_list (List.map (fun (c, _) -> Some c) weighted) in
         let w = Array.of_list (List.map snd weighted) in
-        Array.iter
-          (fun (s : Builder.slot) ->
-            s.op <- Some ops.(Mp_util.Rng.weighted_index b.rng w))
-          b.slots);
+        for i = 0 to Builder.size b - 1 do
+          b.ops.(i) <- ops.(Mp_util.Rng.weighted_index b.rng w)
+        done);
   }
 
 let fill_uniform candidates =
@@ -34,10 +33,10 @@ let fill_uniform candidates =
       (fun b ->
         Builder.require_skeleton b name;
         check_candidates name (List.map (fun c -> (c, 1.0)) candidates);
-        let ops = Array.of_list candidates in
-        Array.iter
-          (fun (s : Builder.slot) -> s.op <- Some (Mp_util.Rng.choose b.rng ops))
-          b.slots);
+        let ops = Array.of_list (List.map Option.some candidates) in
+        for i = 0 to Builder.size b - 1 do
+          b.ops.(i) <- Mp_util.Rng.choose b.rng ops
+        done);
   }
 
 let fill_sequence pattern =
@@ -48,11 +47,10 @@ let fill_sequence pattern =
       (fun b ->
         Builder.require_skeleton b name;
         check_candidates name (List.map (fun c -> (c, 1.0)) pattern);
-        let ops = Array.of_list pattern in
-        Array.iteri
-          (fun i (s : Builder.slot) ->
-            s.op <- Some ops.(i mod Array.length ops))
-          b.slots);
+        let ops = Array.of_list (List.map Option.some pattern) in
+        for i = 0 to Builder.size b - 1 do
+          b.ops.(i) <- ops.(i mod Array.length ops)
+        done);
   }
 
 let fill_interleaved mix =
@@ -64,14 +62,17 @@ let fill_interleaved mix =
         Builder.require_skeleton b name;
         check_candidates name (List.map (fun (c, _) -> (c, 1.0)) mix);
         let round =
-          List.concat_map (fun (ins, k) -> List.init (max 0 k) (fun _ -> ins)) mix
+          List.concat_map
+            (fun (ins, k) ->
+              let ins = Some ins in
+              List.init (max 0 k) (fun _ -> ins))
+            mix
         in
         if round = [] then failwith (Printf.sprintf "pass %S: empty round" name);
         let round = Array.of_list round in
-        Array.iteri
-          (fun i (s : Builder.slot) ->
-            s.op <- Some round.(i mod Array.length round))
-          b.slots);
+        for i = 0 to Builder.size b - 1 do
+          b.ops.(i) <- round.(i mod Array.length round)
+        done);
   }
 
 let memory_model distribution =
@@ -81,14 +82,14 @@ let memory_model distribution =
     apply =
       (fun b ->
         Builder.require_filled b name;
-        let mem_slots =
-          Array.to_list b.slots
-          |> List.filter (fun (s : Builder.slot) ->
-                 match s.op with
-                 | Some op -> Instruction.is_memory op && not op.prefetch
-                 | None -> false)
+        let modelled = function
+          | Some (op : Instruction.t) ->
+            Instruction.is_memory op && not op.prefetch
+          | None -> false
         in
-        let n = List.length mem_slots in
+        let n =
+          Array.fold_left (fun n op -> if modelled op then n + 1 else n) 0 b.ops
+        in
         if n = 0 then
           failwith (Printf.sprintf "pass %S: no memory instructions to model" name);
         (* normalise and apportion by largest remainder *)
@@ -112,13 +113,22 @@ let memory_model distribution =
             by_rem
         in
         let levels =
-          List.concat_map (fun (l, c) -> List.init c (fun _ -> l)) counts
+          List.concat_map
+            (fun (l, c) ->
+              let l = Some l in
+              List.init c (fun _ -> l))
+            counts
           |> Array.of_list
         in
         Mp_util.Rng.shuffle_in_place b.rng levels;
-        List.iteri
-          (fun i (s : Builder.slot) -> s.mem_target <- Some levels.(i))
-          mem_slots;
+        let next = ref 0 in
+        Array.iteri
+          (fun i op ->
+            if modelled op then begin
+              b.mem_targets.(i) <- levels.(!next);
+              incr next
+            end)
+          b.ops;
         b.mem_distribution <- Some dist);
   }
 
@@ -135,14 +145,15 @@ let branch_model ~bc ~frequency ~taken_ratio ~pattern_length =
         let count = int_of_float (Float.round (frequency *. float_of_int n)) in
         let idx = Array.init n (fun i -> i) in
         Mp_util.Rng.shuffle_in_place b.rng idx;
+        let bc = Some bc in
         for k = 0 to count - 1 do
-          let s = b.slots.(idx.(k)) in
+          let i = idx.(k) in
           let taken = int_of_float (Float.round (taken_ratio *. float_of_int pattern_length)) in
           let pat = Array.init pattern_length (fun i -> i < taken) in
           Mp_util.Rng.shuffle_in_place b.rng pat;
-          s.op <- Some bc;
-          s.mem_target <- None;
-          s.pattern <- Some pat
+          b.ops.(i) <- bc;
+          b.mem_targets.(i) <- None;
+          b.patterns.(i) <- Some pat
         done);
   }
 

@@ -38,6 +38,24 @@ let file_size = function
   | Mp_isa.Instruction.Vsr -> 64
   | Mp_isa.Instruction.Cr -> 8
 
+let n_gpr = file_size Mp_isa.Instruction.Gpr
+let n_fpr = file_size Mp_isa.Instruction.Fpr
+let n_vsr = file_size Mp_isa.Instruction.Vsr
+let n_cr = file_size Mp_isa.Instruction.Cr
+let n_slots = n_gpr + n_fpr + n_vsr + n_cr + 1
+
+let in_file r i n =
+  if i < 0 || i >= n then invalid_arg ("Reg.slot: " ^ to_string r);
+  i
+
+let slot r =
+  match r with
+  | Gpr i -> in_file r i n_gpr
+  | Fpr i -> n_gpr + in_file r i n_fpr
+  | Vsr i -> n_gpr + n_fpr + in_file r i n_vsr
+  | Cr_field i -> n_gpr + n_fpr + n_vsr + in_file r i n_cr
+  | Ctr -> n_slots - 1
+
 let make cls i =
   if i < 0 || i >= file_size cls then invalid_arg "Reg.make: index";
   match cls with

@@ -13,5 +13,13 @@ val class_of : t -> Mp_isa.Instruction.reg_class
 val file_size : Mp_isa.Instruction.reg_class -> int
 (** 32 GPRs/FPRs, 64 VSRs, 8 CR fields. *)
 
+val n_slots : int
+(** One slot per register of every file, plus CTR. *)
+
+val slot : t -> int
+(** A dense index in [\[0, n_slots)]: the GPRs, then the FPRs, VSRs, CR
+    fields and CTR. Raises [Invalid_argument] for an index outside its
+    file. *)
+
 val make : Mp_isa.Instruction.reg_class -> int -> t
 (** Raises [Invalid_argument] if the index exceeds the file size. *)

@@ -3,6 +3,7 @@ open Mp_isa
 type pool = { regs : Reg.t array; mutable next : int }
 
 type t = {
+  singles : Reg.t list array;  (* per Reg.slot: [[r]] once asked, else [] *)
   bases : pool;
   gpr_src : pool;
   gpr_dst : pool;
@@ -19,6 +20,7 @@ let mk_pool regs = { regs; next = 0 }
 
 let create () =
   {
+    singles = Array.make Reg.n_slots [];
     bases = mk_pool (range (fun i -> Reg.Gpr i) 8 15);
     gpr_src = mk_pool (range (fun i -> Reg.Gpr i) 16 23);
     gpr_dst = mk_pool (range (fun i -> Reg.Gpr i) 24 31);
@@ -33,6 +35,15 @@ let take p =
   let r = p.regs.(p.next) in
   p.next <- (p.next + 1) mod Array.length p.regs;
   r
+
+let one t r =
+  let k = Reg.slot r in
+  match t.singles.(k) with
+  | [] ->
+    let l = [ r ] in
+    t.singles.(k) <- l;
+    l
+  | l -> l
 
 let base t = take t.bases
 

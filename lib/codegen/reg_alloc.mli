@@ -16,6 +16,11 @@ type t
 
 val create : unit -> t
 
+val one : t -> Reg.t -> Reg.t list
+(** [[r]], one list per register and allocator: operand lists are
+    immutable, so every instruction whose list ends in [r] can share
+    its last cell. *)
+
 val base : t -> Reg.t
 (** Next rotating memory base register. *)
 

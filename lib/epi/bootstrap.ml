@@ -113,6 +113,34 @@ let bootstrappable (i : Instruction.t) =
   && (not i.Instruction.prefetch)
   && i.Instruction.exec_class <> Instruction.Nop_op
 
+(* The kernels of the last [run], per instruction its nodep and dep
+   kernel. A survey bootstraps the same instructions at every
+   configuration, and a kernel depends only on the architecture, the
+   size and the instruction, so consecutive runs over the same ones
+   build each kernel once. Only the last run's kernels are kept. *)
+let last_kernels :
+    (Arch.t * int * (Instruction.t * Ir.t * Ir.t) list) option Atomic.t =
+  Atomic.make None
+
+let kernels ~arch ~size instrs =
+  let same ks =
+    List.compare_lengths ks instrs = 0
+    && List.for_all2 (fun (i, _, _) ins -> i == ins) ks instrs
+  in
+  match Atomic.get last_kernels with
+  | Some (a, s, ks) when a == arch && s = size && same ks -> ks
+  | _ ->
+    let ks =
+      List.map
+        (fun ins ->
+          let nodep = ubench ~arch ~size ~deps:false ~zero_data:false ins in
+          let dep = ubench ~arch ~size ~deps:true ~zero_data:false ins in
+          (ins, nodep, dep))
+        instrs
+    in
+    Atomic.set last_kernels (Some (arch, size, ks));
+    ks
+
 let run ~machine ~arch ?config ?(size = 1024) ?instructions ?pool () =
   let instrs =
     match instructions with
@@ -127,10 +155,8 @@ let run ~machine ~arch ?config ?(size = 1024) ?instructions ?pool () =
      results are bit-identical to per-instruction instruction_props. *)
   let jobs =
     List.concat_map
-      (fun ins ->
-        [ (config, ubench ~arch ~size ~deps:false ~zero_data:false ins);
-          (config, ubench ~arch ~size ~deps:true ~zero_data:false ins) ])
-      instrs
+      (fun (_, nodep, dep) -> [ (config, nodep); (config, dep) ])
+      (kernels ~arch ~size instrs)
   in
   let ms = Machine.run_batch ~measure:measure_iterations ?pool machine jobs in
   let rec pair instrs ms =

@@ -107,32 +107,42 @@ let stream t rng level =
   let addresses = Array.init n (fun i -> lines.((i + phase) mod n)) in
   { target = level; addresses }
 
+(* Instruction m of the k on a level walks rotation position m + i*k at
+   iteration i, so the interleaved sequence is 0,1,2,... mod p. Its
+   stream is order[(m + i*k) mod p], which depends on m only through
+   m mod p: instructions m and m + p walk the same addresses, and a
+   level needs at most p distinct streams however many instructions
+   target it. Each is built once and shared. *)
 let coordinated_streams t rng ~targets =
-  (* one shuffled rotation order per level *)
-  let orders =
-    List.map
-      (fun (l, pool) ->
-        let order = Array.copy pool in
-        Mp_util.Rng.shuffle_in_place rng order;
-        (l, order))
-      t.pools
-  in
-  let count l =
-    Array.fold_left (fun acc l' -> if l' = l then acc + 1 else acc) 0 targets
-  in
-  let counts = List.map (fun (l, _) -> (l, count l)) orders in
-  let seen = Hashtbl.create 8 in
+  (* one shuffled rotation order per level, drawn in pool order *)
+  let orders = Array.make 4 [||] in
+  List.iter
+    (fun (l, pool) ->
+      let order = Array.copy pool in
+      Mp_util.Rng.shuffle_in_place rng order;
+      orders.(rank l) <- order)
+    t.pools;
+  let counts = Array.make 4 0 in
+  Array.iter (fun l -> counts.(rank l) <- counts.(rank l) + 1) targets;
+  let seen = Array.make 4 0 in
+  let built = Array.make 4 [||] in
   Array.map
     (fun l ->
-      let m = Option.value ~default:0 (Hashtbl.find_opt seen l) in
-      Hashtbl.replace seen l (m + 1);
-      let order = List.assoc l orders in
-      let k = List.assoc l counts in
+      let r = rank l in
+      let m = seen.(r) in
+      seen.(r) <- m + 1;
+      let order = orders.(r) and k = counts.(r) in
       let p = Array.length order in
-      (* instruction m of k accesses rotation position m + i*k at
-         iteration i, so the interleaved sequence is 0,1,2,... mod p *)
-      let addresses = Array.init p (fun i -> order.((m + (i * k)) mod p)) in
-      { target = l; addresses })
+      if Array.length built.(r) = 0 then built.(r) <- Array.make p None;
+      match built.(r).(m mod p) with
+      | Some s -> s
+      | None ->
+        let s =
+          { target = l;
+            addresses = Array.init p (fun i -> order.((m + (i * k)) mod p)) }
+        in
+        built.(r).(m mod p) <- Some s;
+        s)
     targets
 
 let streams_for_loop t rng ~n =

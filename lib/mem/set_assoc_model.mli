@@ -62,7 +62,9 @@ val coordinated_streams :
     same level: every re-access of a line is separated by the whole
     pool, so levels above the target always miss and the target always
     hits. The rotation order is shuffled once (per plan instantiation)
-    to defeat stride prefetchers. *)
+    to defeat stride prefetchers. Instructions whose streams are equal
+    (the m-th and (m+p)-th on a level whose pool has p lines) share one
+    stream value; callers must not mutate [addresses]. *)
 
 val streams_for_loop :
   t -> Mp_util.Rng.t -> n:int -> stream array

@@ -283,11 +283,11 @@ let add_fingerprint t buf =
     (* O(1) regardless of geometry: the rolling digest stands in for
        the full line-by-line serialization of the reference model *)
     Buffer.add_char buf 'Z';
-    Buffer.add_string buf (string_of_int c.digest);
+    Mp_util.Decimal.add_int buf c.digest;
     Buffer.add_char buf '#';
-    Buffer.add_string buf (string_of_int c.p_last);
+    Mp_util.Decimal.add_int buf c.p_last;
     Buffer.add_char buf ':';
-    Buffer.add_string buf (string_of_int c.p_streak)
+    Mp_util.Decimal.add_int buf c.p_streak
   | R r -> Cache_sim_list.add_fingerprint r buf
 
 (* ----- introspection (tests, telemetry) ------------------------------------ *)

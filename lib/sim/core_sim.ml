@@ -77,6 +77,10 @@ type opmap = {
          every access takes the lock. Deterministic id assignment is
          the caller's job: Machine pre-interns every opcode in job
          order before fanning out. *)
+  ranks : int array Atomic.t;
+      (* per id, the rank of its name among the names interned when it
+         was built; rebuilt under the lock once the table has grown,
+         and published whole *)
 }
 
 let opmap_create () =
@@ -84,7 +88,7 @@ let opmap_create () =
     decoded = Array.make 64 None; loop_branch = None; count = 0;
     classes = Hashtbl.create 16;
     issuable = Array.make (1 lsl n_pipe_kinds) (1 lsl always_bit);
-    lock = Mutex.create () }
+    lock = Mutex.create (); ranks = Atomic.make [||] }
 
 let opmap_size m = m.count
 
@@ -122,6 +126,23 @@ let intern m name = locked m (fun m name () -> intern_locked m name) name ()
 let opmap_name m id =
   if id < 0 || id >= m.count then invalid_arg "Core_sim.opmap_name";
   m.names.(id)
+
+let name_ranks_locked m () () =
+  let n = m.count in
+  if Array.length (Atomic.get m.ranks) <> n then begin
+    let by_name = Array.init n Fun.id in
+    Array.sort (fun a b -> String.compare m.names.(a) m.names.(b)) by_name;
+    let ranks = Array.make n 0 in
+    Array.iteri (fun r id -> ranks.(id) <- r) by_name;
+    Atomic.set m.ranks ranks
+  end;
+  Atomic.get m.ranks
+
+(* Unlocked while the table has not grown: every id a caller holds was
+   interned before it asked. *)
+let name_ranks m =
+  let r = Atomic.get m.ranks in
+  if Array.length r = m.count then r else locked m name_ranks_locked () ()
 
 let class_bit_locked m ~fmask ~amask =
   let key = (fmask lsl n_pipe_kinds) lor amask in
@@ -202,33 +223,12 @@ type dprog = {
   daf : float;
 }
 
-(* Architected registers numbered densely: one slot per register of
-   each file, then CTR. *)
-let n_gpr = Reg.file_size Mp_isa.Instruction.Gpr
-let n_fpr = Reg.file_size Mp_isa.Instruction.Fpr
-let n_vsr = Reg.file_size Mp_isa.Instruction.Vsr
-let n_cr = Reg.file_size Mp_isa.Instruction.Cr
-let n_reg_slots = n_gpr + n_fpr + n_vsr + n_cr + 1
-
-let in_file r i n =
-  if i < 0 || i >= n then
-    invalid_arg ("Core_sim.deploy: register " ^ Reg.to_string r);
-  i
-
-let reg_slot r =
-  match (r : Reg.t) with
-  | Reg.Gpr i -> in_file r i n_gpr
-  | Reg.Fpr i -> n_gpr + in_file r i n_fpr
-  | Reg.Vsr i -> n_gpr + n_fpr + in_file r i n_vsr
-  | Reg.Cr_field i -> n_gpr + n_fpr + n_vsr + in_file r i n_cr
-  | Reg.Ctr -> n_reg_slots - 1
-
-(* A deploy's register ids: slots numbered in order of first use, so
-   [n_regs] counts only the registers the program touches. *)
+(* A deploy's register ids: {!Reg.slot}s numbered in order of first use,
+   so [n_regs] counts only the registers the program touches. *)
 type regmap = { ids_of_slot : int array; mutable n_ids : int }
 
 let reg_id rm r =
-  let s = reg_slot r in
+  let s = Reg.slot r in
   let id = rm.ids_of_slot.(s) in
   if id >= 0 then id
   else begin
@@ -251,27 +251,160 @@ let reg_ids rm = function
     fill_regs rm a 0 rs;
     a
 
-let deploy ~uarch ~opmap ~streams (p : Ir.t) =
-  let rm = { ids_of_slot = Array.make n_reg_slots (-1); n_ids = 0 } in
-  let of_instr (i : Ir.instr) =
-    let d = locked opmap decode_op_locked uarch i.Ir.op in
-    let dests = reg_ids rm i.Ir.dests in
-    let srcs = reg_ids rm i.Ir.srcs in
-    { d.proto with
-      dests;
-      srcs;
-      stream = (if d.streamed then streams i.Ir.index else [||]);
-      pattern = (match i.Ir.taken_pattern with Some pat -> pat | None -> [||]) }
+(* placeholder for body slots not yet deployed, and for empty table
+   slots *)
+let no_instr =
+  { op_id = -1; fixed = [||]; alt = [||]; fmask = 0; amask = 0; cbit = 0;
+    latency = 0; dests = [||]; srcs = [||]; mem = 0; upd_ops = 0;
+    stream = [||]; pattern = [||] }
+
+let rec ints_equal (a : int array) b i =
+  i < 0 || (a.(i) = b.(i) && ints_equal a b (i - 1))
+
+(* Whether [c] is what deploying [proto] with these operands, stream
+   and pattern would build. *)
+let same_instr c (proto : dinstr) dests srcs stream pattern =
+  c.op_id = proto.op_id && c.fixed == proto.fixed && c.alt == proto.alt
+  && c.fmask = proto.fmask && c.amask = proto.amask && c.cbit = proto.cbit
+  && c.latency = proto.latency && c.mem = proto.mem
+  && c.upd_ops = proto.upd_ops && c.stream == stream && c.pattern == pattern
+  && Array.length c.dests = Array.length dests
+  && Array.length c.srcs = Array.length srcs
+  && ints_equal c.dests dests (Array.length dests - 1)
+  && ints_equal c.srcs srcs (Array.length srcs - 1)
+
+(* A program's instructions that deploy to equal entries share one:
+   nothing in a run tells two entries apart but their body position, and
+   a 512-instruction bootstrap kernel has only as many distinct entries
+   as its register rotation's period (with the stream's, for memory
+   kernels). A deploy keeps its entries in this domain's [recent] table,
+   in pairs of slots keyed by a hash of opcode, operands and first
+   stream address; the table is built on a domain's first deploy and
+   cleared by each. *)
+let recent_size = 1024
+
+let recent_key : dinstr array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make recent_size no_instr)
+
+let recent_table () =
+  let recent = Domain.DLS.get recent_key in
+  Array.fill recent 0 recent_size no_instr;
+  recent
+
+let rec fold_ids h (a : int array) i =
+  if i = Array.length a then h
+  else fold_ids (Mp_util.Fnv.fold_int h a.(i)) a (i + 1)
+
+(* [proto] with these operands, stream and pattern: an equal entry
+   already in [recent], or a new one put there *)
+let share recent (proto : dinstr) dests srcs stream pattern =
+  let h = Mp_util.Fnv.fold_int Mp_util.Fnv.seed_int proto.op_id in
+  let h = fold_ids (fold_ids h dests 0) srcs 0 in
+  (* streams of one level differ in their first address *)
+  let h =
+    if Array.length stream > 0 then Mp_util.Fnv.fold_int h stream.(0) else h
   in
+  let h = Mp_util.Fnv.finish_int h in
+  let s0 = h land (recent_size - 2) in
+  let s1 = s0 + 1 in
+  if same_instr recent.(s0) proto dests srcs stream pattern then recent.(s0)
+  else if same_instr recent.(s1) proto dests srcs stream pattern then
+    recent.(s1)
+  else begin
+    let di = { proto with dests; srcs; stream; pattern } in
+    (* a new entry takes the pair's free slot, else evicts the older *)
+    if recent.(s0).op_id < 0 then recent.(s0) <- di
+    else begin
+      recent.(s1) <- recent.(s0);
+      recent.(s0) <- di
+    end;
+    di
+  end
+
+let of_instr rm recent streams (d : decoded) (i : Ir.instr) =
+  let dests = reg_ids rm i.Ir.dests in
+  let srcs = reg_ids rm i.Ir.srcs in
+  share recent d.proto dests srcs
+    (if d.streamed then streams i.Ir.index else [||])
+    (match i.Ir.taken_pattern with Some pat -> pat | None -> [||])
+
+(* [f k d i] for each body instruction [i] at [k], in body order, with
+   its decoded entry [d]: a run of instructions of one opcode decodes it
+   once. *)
+let iter_decoded m uarch (p : Ir.t) f =
+  let body = p.Ir.body in
+  if Array.length body > 0 then begin
+    let d = ref (decode_op_locked m uarch body.(0).Ir.op) in
+    for k = 0 to Array.length body - 1 do
+      let i = body.(k) in
+      if k > 0 && i.Ir.op != body.(k - 1).Ir.op then
+        d := decode_op_locked m uarch i.Ir.op;
+      f k !d i
+    done
+  end
+
+let intern_program_locked m (p : Ir.t) () =
+  let body = p.Ir.body in
+  for k = 0 to Array.length body - 1 do
+    let op = body.(k).Ir.op in
+    if k = 0 || op != body.(k - 1).Ir.op then
+      ignore (intern_locked m op.Mp_isa.Instruction.mnemonic)
+  done;
+  ignore (intern_locked m "bdnz")
+
+let intern_program m p = locked m intern_program_locked p ()
+
+(* [p] deployed under the lock, and how many of its instructions are
+   streamed. Opcodes are met in body order, the loop-closing bdnz last,
+   so an intern table meeting one for the first time numbers it in that
+   order. *)
+let deploy_locked m uarch streams (p : Ir.t) =
+  let rm = { ids_of_slot = Array.make Reg.n_slots (-1); n_ids = 0 } in
   let n = Array.length p.Ir.body in
-  (* in body order, the loop-closing bdnz last: opcodes an intern table
-     meets here for the first time get ids in that order *)
-  let body =
-    Array.init (n + 1) (fun k ->
-        if k < n then of_instr p.Ir.body.(k)
-        else (locked opmap decode_loop_branch_locked uarch ()).proto)
-  in
-  { body; n_regs = max 1 rm.n_ids; daf = Ir.data_activity_factor p }
+  let body = Array.make (n + 1) no_instr in
+  let recent = recent_table () in
+  let n_streamed = ref 0 in
+  iter_decoded m uarch p (fun k d i ->
+      if d.streamed then incr n_streamed;
+      body.(k) <- of_instr rm recent streams d i);
+  body.(n) <- (decode_loop_branch_locked m uarch ()).proto;
+  ({ body; n_regs = max 1 rm.n_ids; daf = Ir.data_activity_factor p },
+   !n_streamed)
+
+(* [base], a deploy of [p], with its streamed instructions bound to
+   [streams] instead: everything else — operands, patterns, the other
+   instructions — is shared. *)
+let rebind_locked m uarch streams (p : Ir.t) (base : dprog) =
+  let body = Array.copy base.body in
+  let recent = recent_table () in
+  iter_decoded m uarch p (fun k d i ->
+      if d.streamed then begin
+        let b = base.body.(k) in
+        body.(k) <- share recent b b.dests b.srcs (streams i.Ir.index) b.pattern
+      end);
+  { base with body }
+
+let deploy ~uarch ~opmap ~streams p =
+  locked opmap (fun m uarch p -> fst (deploy_locked m uarch streams p)) uarch p
+
+(* Threads running the same program share its deploy. Nothing in a run
+   mutates a [dprog], so sharing is safe; only streamed instructions,
+   which bind per-thread address streams, are rebuilt. *)
+let deploy_threads ~uarch ~opmap ~streams per_thread =
+  locked opmap
+    (fun m uarch per_thread ->
+      let deployed = ref [] in
+      Array.mapi
+        (fun tid p ->
+          match List.find_opt (fun (q, _, _) -> q == p) !deployed with
+          | Some (_, dp, 0) -> dp
+          | Some (_, dp, _) -> rebind_locked m uarch (streams tid) p dp
+          | None ->
+            let dp, n_streamed = deploy_locked m uarch (streams tid) p in
+            deployed := (p, dp, n_streamed) :: !deployed;
+            dp)
+        per_thread)
+    uarch per_thread
 
 (* ----- activity --------------------------------------------------------- *)
 
@@ -472,6 +605,9 @@ let count_pipe c kind upd_ops =
   | 3 -> c.bru <- c.bru + 1
   | 4 -> c.st <- c.st + 1
   | _ -> c.fxu <- c.fxu + upd_ops
+
+(* fingerprint fields: the bytes of [string_of_int], without the string *)
+let add_int = Mp_util.Decimal.add_int
 
 let level_id = function
   | Cache_geometry.L1 -> 0
@@ -830,104 +966,106 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2)
     Buffer.clear fpbuf;
     let buf = fpbuf in
     (* dispatch round-robin phase *)
-    Buffer.add_string buf (string_of_int (now mod nthreads));
+    add_int buf (now mod nthreads);
     (* pipe residuals are integer ticks relative to [now] (the caller
        rebases first), so they are exact state by construction *)
-    Array.iter
-      (fun insts ->
-        Buffer.add_char buf 'P';
-        Array.iter
-          (fun r ->
-            Buffer.add_string buf (string_of_int r);
-            Buffer.add_char buf ',')
-          insts)
-      pipe_free;
-    Array.iteri
-      (fun ti t ->
-        Buffer.add_char buf 'T';
-        Buffer.add_string buf (string_of_int t.pc);
-        Buffer.add_char buf ';';
-        Buffer.add_string buf (string_of_int (max 0 (t.stall_until - now)));
-        Buffer.add_char buf ';';
-        Buffer.add_string buf (string_of_int t.last_dispatch_op);
-        Buffer.add_char buf ';';
-        Array.iter
-          (fun m ->
-            Buffer.add_string buf (string_of_int (t.iter mod m));
-            Buffer.add_char buf ',')
-          iter_mods.(ti);
-        Buffer.add_char buf ';';
-        (* in-flight completions as (age, countdown); completed or
-           recycled ring slots are behaviourally retired and omitted *)
-        let ring = Array.length t.comp_seq in
-        for off = 1 to ring do
-          let seqv = t.dispatch_seq - off in
-          if seqv >= 0 then begin
-            let idx = seqv mod ring in
-            if t.comp_seq.(idx) = seqv then begin
-              let ct = t.comp_time.(idx) in
-              if ct = max_int then begin
-                Buffer.add_string buf (string_of_int off);
-                Buffer.add_string buf ":u,"
-              end
-              else if ct > now then begin
-                Buffer.add_string buf (string_of_int off);
-                Buffer.add_char buf ':';
-                Buffer.add_string buf (string_of_int (ct - now));
-                Buffer.add_char buf ','
-              end
+    for k = 0 to n_pipe_kinds - 1 do
+      let insts = pipe_free.(k) in
+      Buffer.add_char buf 'P';
+      for i = 0 to Array.length insts - 1 do
+        add_int buf insts.(i);
+        Buffer.add_char buf ','
+      done
+    done;
+    for ti = 0 to nthreads - 1 do
+      let t = threads.(ti) in
+      Buffer.add_char buf 'T';
+      add_int buf t.pc;
+      Buffer.add_char buf ';';
+      add_int buf (imax 0 (t.stall_until - now));
+      Buffer.add_char buf ';';
+      add_int buf t.last_dispatch_op;
+      Buffer.add_char buf ';';
+      let mods = iter_mods.(ti) in
+      for k = 0 to Array.length mods - 1 do
+        add_int buf (t.iter mod mods.(k));
+        Buffer.add_char buf ','
+      done;
+      Buffer.add_char buf ';';
+      (* in-flight completions as (age, countdown); completed or
+         recycled ring slots are behaviourally retired and omitted *)
+      let ring = Array.length t.comp_seq in
+      for off = 1 to ring do
+        let seqv = t.dispatch_seq - off in
+        if seqv >= 0 then begin
+          let idx = seqv mod ring in
+          if t.comp_seq.(idx) = seqv then begin
+            let ct = t.comp_time.(idx) in
+            if ct = max_int then begin
+              add_int buf off;
+              Buffer.add_string buf ":u,"
+            end
+            else if ct > now then begin
+              add_int buf off;
+              Buffer.add_char buf ':';
+              add_int buf (ct - now);
+              Buffer.add_char buf ','
             end
           end
-        done;
-        Buffer.add_char buf ';';
-        (* register map: writers still in flight as relative age; all
-           retired writers are interchangeable (value ready), but still
-           distinct from "never written" *)
-        Array.iter
-          (fun w ->
-            if w < 0 then Buffer.add_char buf 'N'
-            else begin
-              let idx = w mod ring in
-              if t.comp_seq.(idx) = w && t.comp_time.(idx) > now then begin
-                Buffer.add_string buf (string_of_int (t.dispatch_seq - w));
-                Buffer.add_char buf ','
-              end
-              else Buffer.add_char buf 'R'
-            end)
-          t.reg_last_writer;
-        Buffer.add_char buf ';';
-        (* queue shape oldest-first: static instr, stream/pattern phase,
-           producer ages *)
-        for qi = 0 to t.q_len - 1 do
-          let e = t.queue.((t.q_head + qi) mod window) in
-          if e.live then begin
-            Buffer.add_string buf (string_of_int e.di);
-            Buffer.add_char buf '.';
-            let d = t.prog.body.(e.di) in
-            let slen = Array.length d.stream in
-            if slen > 1 then begin
-              Buffer.add_string buf (string_of_int (e.it mod slen));
-              Buffer.add_char buf 's'
-            end;
-            let plen = Array.length d.pattern in
-            if plen > 1 then begin
-              Buffer.add_string buf (string_of_int (e.it mod plen));
-              Buffer.add_char buf 'p'
-            end;
-            for k = 0 to e.n_deps - 1 do
-              Buffer.add_string buf (string_of_int (t.dispatch_seq - e.deps.(k)));
-              Buffer.add_char buf ','
-            done;
-            Buffer.add_char buf '|'
+        end
+      done;
+      Buffer.add_char buf ';';
+      (* register map: writers still in flight as relative age; all
+         retired writers are interchangeable (value ready), but still
+         distinct from "never written" *)
+      let writers = t.reg_last_writer in
+      for r = 0 to Array.length writers - 1 do
+        let w = writers.(r) in
+        if w < 0 then Buffer.add_char buf 'N'
+        else begin
+          let idx = w mod ring in
+          if t.comp_seq.(idx) = w && t.comp_time.(idx) > now then begin
+            add_int buf (t.dispatch_seq - w);
+            Buffer.add_char buf ','
           end
-          else Buffer.add_char buf 'x'
-        done;
-        Buffer.add_char buf ';';
-        if has_branch then
-          Array.iter
-            (fun p -> Buffer.add_char buf (Char.chr (Char.code '0' + p)))
-            t.predictor)
-      threads;
+          else Buffer.add_char buf 'R'
+        end
+      done;
+      Buffer.add_char buf ';';
+      (* queue shape oldest-first: static instr, stream/pattern phase,
+         producer ages *)
+      for qi = 0 to t.q_len - 1 do
+        let e = t.queue.((t.q_head + qi) mod window) in
+        if e.live then begin
+          add_int buf e.di;
+          Buffer.add_char buf '.';
+          let d = t.prog.body.(e.di) in
+          let slen = Array.length d.stream in
+          if slen > 1 then begin
+            add_int buf (e.it mod slen);
+            Buffer.add_char buf 's'
+          end;
+          let plen = Array.length d.pattern in
+          if plen > 1 then begin
+            add_int buf (e.it mod plen);
+            Buffer.add_char buf 'p'
+          end;
+          for k = 0 to e.n_deps - 1 do
+            add_int buf (t.dispatch_seq - e.deps.(k));
+            Buffer.add_char buf ','
+          done;
+          Buffer.add_char buf '|'
+        end
+        else Buffer.add_char buf 'x'
+      done;
+      Buffer.add_char buf ';';
+      if has_branch then begin
+        let pred = t.predictor in
+        for i = 0 to Array.length pred - 1 do
+          Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + pred.(i)))
+        done
+      end
+    done;
     if has_mem then Cache_sim.add_fingerprint cache fpbuf;
     Buffer.contents fpbuf
   in

@@ -18,6 +18,11 @@ val opmap_create : unit -> opmap
 val opmap_size : opmap -> int
 val opmap_name : opmap -> int -> string
 
+val name_ranks : opmap -> int array
+(** [ranks.(id)] is the position of opcode [id]'s name among every
+    interned name in [String.compare] order, so comparing ranks orders
+    ids by name. Cached; rebuilt once the table has grown. *)
+
 val intern : opmap -> string -> int
 (** Id of a mnemonic, interning it if new. Domain-safe (the table is
     locked), but id assignment then depends on arrival order: callers
@@ -39,8 +44,27 @@ val deploy :
     instruction at body index [idx] (raises if consulted for an index
     the caller did not prepare). An implicit loop-closing [bdnz] is
     appended to the body. Each opcode's resource entry is decoded once
-    into [opmap] for [uarch] and shared by later deploys. Raises
-    [Invalid_argument] for a register outside its file. *)
+    into [opmap] for [uarch] and shared by later deploys. The deploy
+    holds [opmap]'s lock throughout, so [streams] must not intern.
+    Raises [Invalid_argument] for a register outside its file. *)
+
+val deploy_threads :
+  uarch:Mp_uarch.Uarch_def.t ->
+  opmap:opmap ->
+  streams:(int -> int -> int array) ->
+  Mp_codegen.Ir.t array ->
+  dprog array
+(** One deploy per hardware thread: element [t] is what
+    [deploy ~streams:(streams t)] returns for program [t], taken under
+    one hold of [opmap]'s lock. A thread whose program is physically
+    the same as an earlier thread's shares that deploy's instructions
+    except the streamed ones, which it binds to its own streams; with no
+    streamed instruction it shares the whole deployed program. *)
+
+val intern_program : opmap -> Mp_codegen.Ir.t -> unit
+(** Intern every opcode {!deploy} would meet in [p], in the order it
+    would meet them (the body's, then the loop-closing [bdnz]), under
+    one hold of the lock; a run of one opcode is looked up once. *)
 
 type activity = {
   measured_cycles : int;

@@ -87,37 +87,22 @@ let class_base (i : Mp_isa.Instruction.t) =
        +. (if i.indexed then 0.03 else 0.0)
      | No_mem -> 0.40)
 
-(* [f] memoised. [Power_sim.sample] calls the table's functions from
-   every pool domain and [Hashtbl] is not domain-safe, so each lookup
-   takes the memo's lock. *)
-let memo f =
-  let table = Hashtbl.create 256 in
-  let lock = Mutex.create () in
-  fun key ->
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt table key with
-        | Some v -> v
-        | None ->
-          let v = f key in
-          Hashtbl.add table key v;
-          v)
-
 (* Bind the EPI function against a fresh copy of the shipped ISA; the
    lookup degrades gracefully (class base without jitter) for opcodes a
-   user adds later. *)
+   user adds later. [Power_sim] memoises both functions per intern id. *)
 let make_opcode_epi () =
   let isa = Mp_isa.Power_isa.load () in
-  memo (fun name ->
-      let e =
-        match List.find_opt (fun (m, _, _) -> m = name) table3_targets with
-        | Some (_, target, adder) -> (target *. addic_energy) -. adder
-        | None ->
-          dyn_scale
-          *. (match Mp_isa.Isa_def.find isa name with
-              | Some i -> class_base i *. jitter ~lo:0.80 ~hi:1.10 name
-              | None -> if name = "bdnz" then 0.22 else 0.40)
-      in
-      Float.max 0.02 e)
+  fun name ->
+    let e =
+      match List.find_opt (fun (m, _, _) -> m = name) table3_targets with
+      | Some (_, target, adder) -> (target *. addic_energy) -. adder
+      | None ->
+        dyn_scale
+        *. (match Mp_isa.Isa_def.find isa name with
+            | Some i -> class_base i *. jitter ~lo:0.80 ~hi:1.10 name
+            | None -> if name = "bdnz" then 0.22 else 0.40)
+    in
+    Float.max 0.02 e
 
 (* Ordered-pair transition energy: how much the dispatch/issue buses
    toggle when opcode [b] follows opcode [a]. Deliberately irregular
@@ -140,17 +125,15 @@ let pair_overrides =
     (("lxvw4x", "mulldo"), 0.70);
   ]
 
-let transition_energy =
-  let pair =
-    memo (fun (a, b) ->
-        let f =
-          match List.assoc_opt (a, b) pair_overrides with
-          | Some f -> f
-          | None -> jitter ~lo:0.10 ~hi:2.40 ("pair:" ^ a ^ ">" ^ b)
-        in
-        0.16 *. dyn_scale *. f)
-  in
-  fun a b -> if String.equal a b then 0.0 else pair (a, b)
+let transition_energy a b =
+  if String.equal a b then 0.0
+  else
+    let f =
+      match List.assoc_opt (a, b) pair_overrides with
+      | Some f -> f
+      | None -> jitter ~lo:0.10 ~hi:2.40 ("pair:" ^ a ^ ">" ^ b)
+    in
+    0.16 *. dyn_scale *. f
 
 (* Power-delivery saturation: dynamic power above [p0] is delivered at
    a diminishing rate (voltage droop / current limits). *)

@@ -39,12 +39,7 @@ let measurement_cache t = t.cache
    out — keeps id assignment independent of worker scheduling and of
    cache hits, so energy sums (whose float addition order follows ids)
    are bit-identical between serial and pooled runs. *)
-let pre_intern t (p : Ir.t) =
-  Array.iter
-    (fun (i : Ir.instr) ->
-      ignore (Core_sim.intern t.opmap i.Ir.op.Mp_isa.Instruction.mnemonic))
-    p.Ir.body;
-  ignore (Core_sim.intern t.opmap "bdnz")
+let pre_intern t (p : Ir.t) = Core_sim.intern_program t.opmap p
 
 (* Default measured window, in loop iterations per thread. Exact
    fixed-point pipe arithmetic makes every bounded kernel's steady
@@ -72,41 +67,78 @@ let run_rng t (config : Uarch_def.config) ~seeded name =
   Mp_util.Rng.create
     (Hashtbl.hash (seed, name, config.Uarch_def.cores, config.Uarch_def.smt))
 
-(* Draw one thread's address streams from [rng], honouring the SMT
-   partition; returns the lookup [Core_sim.deploy] takes. *)
-let thread_streams t rng (config : Uarch_def.config) tid (p : Ir.t) =
-  let mem_instrs = Ir.memory_instructions p in
-  let streams_tbl = Hashtbl.create 16 in
-  (match (mem_instrs, p.Ir.memory_distribution) with
-   | [], _ -> ()
-   | _ :: _, None ->
-     failwith "Machine: memory instructions without a memory model pass"
-   | _ :: _, Some distribution ->
-     let plan =
-       Mp_mem.Set_assoc_model.create ~uarch:t.uarch
-         ~partition:(tid, config.Uarch_def.smt) ~distribution ()
-     in
-     let targeted =
-       List.filter (fun (i : Ir.instr) -> i.Ir.mem_target <> None) mem_instrs
-     in
-     let targets =
-       Array.of_list
-         (List.map
-            (fun (i : Ir.instr) -> Option.get i.Ir.mem_target)
-            targeted)
-     in
-     let streams =
-       Mp_mem.Set_assoc_model.coordinated_streams plan rng ~targets
-     in
-     List.iteri
-       (fun k (i : Ir.instr) ->
-         Hashtbl.replace streams_tbl i.Ir.index
-           streams.(k).Mp_mem.Set_assoc_model.addresses)
-       targeted);
-  fun idx ->
-    match Hashtbl.find_opt streams_tbl idx with
-    | Some a -> a
-    | None -> failwith "Machine: no stream prepared for memory instruction"
+(* Body positions of a program's memory instructions, ascending. *)
+let memory_positions (p : Ir.t) =
+  let targeted (i : Ir.instr) =
+    i.Ir.mem_target <> None && Mp_isa.Instruction.is_memory i.Ir.op
+  in
+  let n =
+    Array.fold_left (fun n i -> if targeted i then n + 1 else n) 0 p.Ir.body
+  in
+  let pos = Array.make n 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun idx i ->
+      if targeted i then begin
+        pos.(!k) <- idx;
+        incr k
+      end)
+    p.Ir.body;
+  pos
+
+(* One thread's address streams, in [positions] order, drawn from [rng]
+   honouring the SMT partition. A program with memory instructions
+   draws its plan's rotation orders even when none is targeted. *)
+let thread_streams t rng (config : Uarch_def.config) tid (p : Ir.t) positions =
+  if not (Ir.has_memory p) then [||]
+  else
+    match p.Ir.memory_distribution with
+    | None ->
+      failwith "Machine: memory instructions without a memory model pass"
+    | Some distribution ->
+      let plan =
+        Mp_mem.Set_assoc_model.create ~uarch:t.uarch
+          ~partition:(tid, config.Uarch_def.smt) ~distribution ()
+      in
+      let targets =
+        Array.map
+          (fun idx -> Option.get p.Ir.body.(idx).Ir.mem_target)
+          positions
+      in
+      Array.map
+        (fun (s : Mp_mem.Set_assoc_model.stream) ->
+          s.Mp_mem.Set_assoc_model.addresses)
+        (Mp_mem.Set_assoc_model.coordinated_streams plan rng ~targets)
+
+(* index of [idx] in the ascending [positions] *)
+let rec position_of positions idx lo hi =
+  if lo >= hi then failwith "Machine: no stream prepared for memory instruction"
+  else
+    let mid = (lo + hi) / 2 in
+    let v = positions.(mid) in
+    if v = idx then mid
+    else if v < idx then position_of positions idx (mid + 1) hi
+    else position_of positions idx lo mid
+
+(* Every thread's memory positions and streams, drawn in thread order. *)
+let job_streams t rng config (per_thread : Ir.t array) =
+  let positions = Array.make (Array.length per_thread) [||] in
+  Array.iteri
+    (fun tid p ->
+      positions.(tid) <-
+        (if tid > 0 && p == per_thread.(tid - 1) then positions.(tid - 1)
+         else memory_positions p))
+    per_thread;
+  ( positions,
+    Array.mapi
+      (fun tid p -> thread_streams t rng config tid p positions.(tid))
+      per_thread )
+
+(* The lookup [Core_sim.deploy_threads] takes: thread, body position ->
+   stream. *)
+let stream_of (positions, streams) tid idx =
+  let pos = positions.(tid) in
+  streams.(tid).(position_of pos idx 0 (Array.length pos))
 
 let mem_demand (activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
@@ -125,19 +157,12 @@ let simulate ~warmup ~measure ?period t (config : Uarch_def.config) name
      stream draw too, and their records are shared across names, seeds
      and core counts. *)
   let consumes_rng = Array.exists Ir.has_memory per_thread in
-  let streams =
-    lazy
-      (Array.init config.Uarch_def.smt (fun tid ->
-           thread_streams t rng config tid per_thread.(tid)))
-  in
+  let streams = lazy (job_streams t rng config per_thread) in
   if consumes_rng then ignore (Lazy.force streams);
   let progs =
     lazy
-      (Array.mapi
-         (fun tid streams ->
-           Core_sim.deploy ~uarch:t.uarch ~opmap:t.opmap ~streams
-             per_thread.(tid))
-         (Lazy.force streams))
+      (Core_sim.deploy_threads ~uarch:t.uarch ~opmap:t.opmap
+         ~streams:(stream_of (Lazy.force streams)) per_thread)
   in
   let salt =
     if consumes_rng then

@@ -149,26 +149,40 @@ let counters_to_ints (c : Measurement.counters) =
     [| c.instrs; c.dispatched; c.fxu; c.lsu; c.vsu; c.bru; c.st;
        c.l1; c.l2; c.l3; c.mem |]
 
-let op_issues_by_name ~opmap op_issues =
-  let acc = ref [] in
-  for id = Array.length op_issues - 1 downto 0 do
-    if op_issues.(id) <> 0 then
-      acc := (Core_sim.opmap_name opmap id, op_issues.(id)) :: !acc
-  done;
-  !acc
+(* Records keep their name-keyed lists sorted by name (pairs by first,
+   then second name), so reifying merges base and period in one linear
+   walk. *)
+let compare_pair (a1, b1, _) (a2, b2, _) =
+  let c = String.compare a1 a2 in
+  if c <> 0 then c else String.compare b1 b2
+
+(* Name order is rank order ({!Core_sim.name_ranks}): sort on ints, then
+   name. *)
+let op_issues_by_name ~opmap ops =
+  let rank = Core_sim.name_ranks opmap in
+  List.map
+    (fun (id, c) -> (Core_sim.opmap_name opmap id, c))
+    (List.sort (fun (a, _) (b, _) -> Int.compare rank.(a) rank.(b)) ops)
 
 let transitions_by_name ~opmap trans =
+  let rank = Core_sim.name_ranks opmap in
+  let key (a, b, _) = (rank.(a) * Array.length rank) + rank.(b) in
   List.map
     (fun (a, b, c) ->
       (Core_sim.opmap_name opmap a, Core_sim.opmap_name opmap b, c))
-    trans
+    (List.sort (fun x y -> Int.compare (key x) (key y)) trans)
 
 let snapshot_of_activity ~opmap ~measure (a : Core_sim.activity) =
+  let issued = ref [] in
+  for id = Array.length a.Core_sim.op_issues - 1 downto 0 do
+    if a.Core_sim.op_issues.(id) <> 0 then
+      issued := (id, a.Core_sim.op_issues.(id)) :: !issued
+  done;
   {
     s_measure = measure;
     s_cycles = a.Core_sim.measured_cycles;
     s_counters = Array.map counters_to_ints a.Core_sim.threads;
-    s_op_issues = op_issues_by_name ~opmap a.Core_sim.op_issues;
+    s_op_issues = op_issues_by_name ~opmap !issued;
     s_level_loads = Array.copy a.Core_sim.level_loads;
     s_switch = a.Core_sim.switch_events;
     s_transitions = transitions_by_name ~opmap a.Core_sim.transitions;
@@ -181,15 +195,92 @@ let period_of_delta ~opmap (pd : Core_sim.period_delta) =
     p_cycles = pd.Core_sim.pd_cycles;
     p_min_total = pd.Core_sim.pd_min_total;
     p_counters = pd.Core_sim.pd_counters;
-    p_op_issues =
-      List.map
-        (fun (id, d) -> (Core_sim.opmap_name opmap id, d))
-        pd.Core_sim.pd_op_issues;
+    p_op_issues = op_issues_by_name ~opmap pd.Core_sim.pd_op_issues;
     p_level_loads = pd.Core_sim.pd_level_loads;
     p_switch = pd.Core_sim.pd_switch;
     p_transitions = transitions_by_name ~opmap pd.Core_sim.pd_transitions;
     p_prefetches = pd.Core_sim.pd_prefetches;
   }
+
+(* The sorted names of [base] and [step], each once, with
+   [base + k * step] counts: a linear merge of two name-sorted lists.
+   Zero sums are kept. *)
+let merge_ops k base step =
+  let n = List.length base + List.length step in
+  let names = Array.make n "" and counts = Array.make n 0 in
+  let len = ref 0 in
+  let emit name c =
+    names.(!len) <- name;
+    counts.(!len) <- c;
+    incr len
+  in
+  let rec go base step =
+    match (base, step) with
+    | [], [] -> ()
+    | (n1, c) :: bs, [] -> emit n1 c; go bs []
+    | [], (n2, d) :: ss -> emit n2 (k * d); go [] ss
+    | (n1, c) :: bs, (n2, d) :: ss ->
+      let o = String.compare n1 n2 in
+      if o = 0 then (emit n1 (c + (k * d)); go bs ss)
+      else if o < 0 then (emit n1 c; go bs step)
+      else (emit n2 (k * d); go base ss)
+  in
+  go base step;
+  (Array.sub names 0 !len, Array.sub counts 0 !len)
+
+(* The id of [name] among the sorted [names] (ids alongside), interned
+   when absent. *)
+let rec id_of opmap names ids name lo hi =
+  if lo >= hi then Core_sim.intern opmap name
+  else
+    let mid = (lo + hi) / 2 in
+    let c = String.compare names.(mid) name in
+    if c = 0 then ids.(mid)
+    else if c < 0 then id_of opmap names ids name (mid + 1) hi
+    else id_of opmap names ids name lo mid
+
+(* [base + k * step] over two (prev, next)-name-sorted pair lists,
+   zero sums dropped, as (prev id, next id, count) in ascending id
+   order: the merge writes ids and counts to arrays, and the order is
+   one int sort of (prev * n_ids + next) * n + position. *)
+let merge_pairs ~opmap ~names ~ids k base step =
+  let cap = List.length base + List.length step in
+  let prev = Array.make cap 0 and next = Array.make cap 0 in
+  let counts = Array.make cap 0 in
+  let len = ref 0 in
+  let id name = id_of opmap names ids name 0 (Array.length names) in
+  let emit a b c =
+    if c <> 0 then begin
+      prev.(!len) <- id a;
+      next.(!len) <- id b;
+      counts.(!len) <- c;
+      incr len
+    end
+  in
+  let rec go base step =
+    match (base, step) with
+    | [], [] -> ()
+    | (a, b, c) :: bs, [] -> emit a b c; go bs []
+    | [], (a, b, d) :: ss -> emit a b (k * d); go [] ss
+    | ((a1, b1, c) as x) :: bs, ((a2, b2, d) as y) :: ss ->
+      let o = compare_pair x y in
+      if o = 0 then (emit a1 b1 (c + (k * d)); go bs ss)
+      else if o < 0 then (emit a1 b1 c; go bs step)
+      else (emit a2 b2 (k * d); go base ss)
+  in
+  go base step;
+  let n = !len in
+  let n_ids = 1 + Array.fold_left max (Array.fold_left max 0 prev) next in
+  let keys =
+    Array.init n (fun i -> (((prev.(i) * n_ids) + next.(i)) * n) + i)
+  in
+  Array.sort (fun (x : int) y -> compare x y) keys;
+  let acc = ref [] in
+  for j = n - 1 downto 0 do
+    let i = keys.(j) mod n in
+    acc := (prev.(i), next.(i), counts.(i)) :: !acc
+  done;
+  !acc
 
 (* [base + k * period], reified against [opmap]. [k] may be negative
    (extrapolating down to a shorter window); every resulting counter
@@ -225,54 +316,21 @@ let reify ~opmap ~daf (b : snapshot) k (p : period option) =
         })
       b.s_counters
   in
-  (* merge name-keyed counts: base + k * period, dropping zeros so the
-     reified activity matches what a dense run reports (dense lists
-     only live entries) *)
-  let merge base step_list =
-    let tbl = Hashtbl.create 32 in
-    List.iter (fun (n, c) -> Hashtbl.replace tbl n c) base;
-    (match p with
-     | None -> ()
-     | Some _ ->
-       List.iter
-         (fun (n, d) ->
-           let cur = Option.value ~default:0 (Hashtbl.find_opt tbl n) in
-           Hashtbl.replace tbl n (cur + (k * d)))
-         step_list);
-    tbl
+  (* every name of base or period, zeros included: the array spans the
+     largest of their ids, as a dense run's spans every interned one;
+     each distinct name is interned once *)
+  let step_ops, step_pairs, k' =
+    match p with
+    | None -> ([], [], 0)
+    | Some p -> (p.p_op_issues, p.p_transitions, k)
   in
-  let op_tbl =
-    merge b.s_op_issues (match p with Some p -> p.p_op_issues | None -> [])
-  in
-  let max_id = ref 0 in
-  let op_ids =
-    Hashtbl.fold
-      (fun name count acc ->
-        let id = Core_sim.intern opmap name in
-        if id > !max_id then max_id := id;
-        (id, count) :: acc)
-      op_tbl []
-  in
-  let op_issues = Array.make (!max_id + 1) 0 in
-  List.iter (fun (id, c) -> op_issues.(id) <- c) op_ids;
-  let trans_tbl = Hashtbl.create 32 in
-  let add_trans scale l =
-    List.iter
-      (fun (a, b, c) ->
-        let k' = (a, b) in
-        let cur = Option.value ~default:0 (Hashtbl.find_opt trans_tbl k') in
-        Hashtbl.replace trans_tbl k' (cur + (scale * c)))
-      l
-  in
-  add_trans 1 b.s_transitions;
-  (match p with None -> () | Some p -> add_trans k p.p_transitions);
+  let names, counts = merge_ops k' b.s_op_issues step_ops in
+  let ids = Array.map (Core_sim.intern opmap) names in
+  let op_issues = Array.make (Array.fold_left max 0 ids + 1) 0 in
+  Array.iteri (fun i id -> op_issues.(id) <- counts.(i)) ids;
+  (* dropping zeros, as a dense run lists only live pairs *)
   let transitions =
-    Hashtbl.fold
-      (fun (a, b) c acc ->
-        if c <> 0 then (Core_sim.intern opmap a, Core_sim.intern opmap b, c) :: acc
-        else acc)
-      trans_tbl []
-    |> List.sort compare
+    merge_pairs ~opmap ~names ~ids k' b.s_transitions step_pairs
   in
   let level_loads =
     Array.init 4 (fun i ->

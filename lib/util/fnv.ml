@@ -44,6 +44,62 @@ let finish z =
 
 let to_hex v = Printf.sprintf "%016Lx" v
 
+(* ----- two accumulators, one pass ------------------------------------- *)
+
+(* The same fold into two accumulators at once. Threading an [int64]
+   through a fold boxes it at every step; here both accumulators live in
+   a 16-byte buffer, read and written with the compiler's unboxed 64-bit
+   accessors, and each fold runs on local refs the compiler keeps
+   unboxed, so folding allocates nothing. *)
+type pair = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* the [n] low bytes of [v], least significant first; [asr], so the
+   bytes past 62 bits are those of the sign-extended 64-bit value, as
+   [int] folds them *)
+let fold_le p v n =
+  let h1 = ref (get64 p 0) and h2 = ref (get64 p 8) in
+  for shift = 0 to n - 1 do
+    let b = Int64.of_int ((v asr (shift * 8)) land 0xFF) in
+    h1 := Int64.mul (Int64.logxor !h1 b) prime;
+    h2 := Int64.mul (Int64.logxor !h2 b) prime
+  done;
+  set64 p 0 !h1;
+  set64 p 8 !h2
+
+let pair_byte p b = fold_le p b 1
+
+let pair_int p v = fold_le p v 8
+
+let pair_int64 p v =
+  fold_le p (Int64.to_int v) 4;
+  fold_le p (Int64.to_int (Int64.shift_right_logical v 32)) 4
+
+let pair_string p s =
+  pair_int p (String.length s);
+  let h1 = ref (get64 p 0) and h2 = ref (get64 p 8) in
+  for i = 0 to String.length s - 1 do
+    let b = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h1 := Int64.mul (Int64.logxor !h1 b) prime;
+    h2 := Int64.mul (Int64.logxor !h2 b) prime
+  done;
+  set64 p 0 !h1;
+  set64 p 8 !h2
+
+(* [prefix] goes to the first accumulator only: fold it into both, then
+   restart the second from the seed *)
+let pair ~prefix =
+  let p = Bytes.create 16 in
+  set64 p 0 seed;
+  set64 p 8 seed;
+  pair_string p prefix;
+  set64 p 8 seed;
+  p
+
+let values p = (get64 p 0, get64 p 8)
+
 (* ----- native-int variant ------------------------------------------------- *)
 
 (* The same multiply-xor structure on OCaml's untagged 63-bit ints: no

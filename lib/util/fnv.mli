@@ -32,6 +32,34 @@ val finish : t -> int64
 val to_hex : int64 -> string
 (** 16 lowercase hex characters, zero-padded. *)
 
+(** {2 Two accumulators, one pass}
+
+    Folds the same bytes into two accumulators at once — a hash of
+    [prefix ^ bytes] and one of [bytes] alone — keeping both 64-bit
+    values unboxed, so folding allocates nothing.
+    [values] returns exactly what the boxed folds above return for the
+    same bytes: [string seed prefix] then the bytes, and [seed] then the
+    bytes. *)
+
+type pair
+
+val pair : prefix:string -> pair
+
+val values : pair -> t * t
+(** Both accumulators, prefixed first; apply {!finish} to each. *)
+
+val pair_byte : pair -> int -> unit
+(** As {!byte}, into both. *)
+
+val pair_int : pair -> int -> unit
+(** As {!int}, into both. *)
+
+val pair_int64 : pair -> int64 -> unit
+(** As {!int64}, into both. *)
+
+val pair_string : pair -> string -> unit
+(** As {!string}, into both. *)
+
 (** {2 Native-int variant}
 
     Allocation-free folding on OCaml's untagged native ints, for hashes

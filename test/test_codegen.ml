@@ -455,6 +455,104 @@ let prop_one_instruction_changes_hash =
       Int64.equal (Ir.struct_hash p1) (Ir.struct_hash p1')
       && not (Int64.equal (Ir.struct_hash p1) (Ir.struct_hash p2)))
 
+(* ----- golden programs ---------------------------------------------------- *)
+
+(* Every field a measurement can see through a program, as text: name,
+   body (mnemonic, dests, srcs, immediate, memory target, branch
+   pattern), register initialisation and both content hashes. Folding
+   it over whole suites pins every RNG draw codegen makes, in order. *)
+let fold_program b (p : Ir.t) =
+  let pr fmt = Printf.bprintf b fmt in
+  let regs rs = String.concat "," (List.map Reg.to_string rs) in
+  pr "%s %d\n" p.Ir.name (Ir.size p);
+  Array.iter
+    (fun (i : Ir.instr) ->
+      pr "%s %s<-%s" i.Ir.op.Instruction.mnemonic (regs i.Ir.dests)
+        (regs i.Ir.srcs);
+      Option.iter (pr " #%Lx") i.Ir.imm;
+      Option.iter
+        (fun l -> pr " @%s" (Mp_uarch.Cache_geometry.level_to_string l))
+        i.Ir.mem_target;
+      Option.iter
+        (fun pat ->
+          pr " p";
+          Array.iter (fun t -> pr "%d" (Bool.to_int t)) pat)
+        i.Ir.taken_pattern;
+      pr "\n")
+    p.Ir.body;
+  List.iter (fun (r, v) -> pr "%s=%Lx " (Reg.to_string r) v) p.Ir.reg_init;
+  pr "\nstruct %Lx body %Lx\n" p.Ir.struct_hash p.Ir.body_hash
+
+let digest_programs progs =
+  let b = Buffer.create (1 lsl 22) in
+  List.iter (fold_program b) progs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The EPI bootstrap's kernels for one configuration, built as
+   [Epi.Bootstrap] builds them: a nodep and a dep kernel per
+   bootstrappable instruction. *)
+let bootstrap_kernels a =
+  let kernel ~deps (ins : Instruction.t) =
+    let name =
+      Printf.sprintf "boot-%s-%s" ins.Instruction.mnemonic
+        (if deps then "dep" else "nodep")
+    in
+    let synth = Synthesizer.create ~name a in
+    Synthesizer.add_pass synth (Passes.skeleton ~size:512);
+    Synthesizer.add_pass synth (Passes.fill_sequence [ ins ]);
+    if Instruction.is_memory ins && not ins.Instruction.prefetch then
+      Synthesizer.add_pass synth (Passes.memory_model l1);
+    Synthesizer.add_pass synth
+      (Passes.dependency (if deps then Builder.Fixed 1 else Builder.No_deps));
+    Synthesizer.add_pass synth (Passes.init_registers Builder.Random_values);
+    Synthesizer.add_pass synth (Passes.init_immediates Builder.Random_values);
+    Synthesizer.add_pass synth (Passes.rename name);
+    Synthesizer.synthesize ~seed:(Hashtbl.hash name) synth
+  in
+  let bootstrappable (i : Instruction.t) =
+    (not i.Instruction.privileged)
+    && (not (Instruction.is_branch i))
+    && (not i.Instruction.prefetch)
+    && i.Instruction.exec_class <> Instruction.Nop_op
+  in
+  List.concat_map
+    (fun ins -> [ kernel ~deps:false ins; kernel ~deps:true ins ])
+    (Arch.select a bootstrappable)
+
+(* MD5s of [fold_program] over each suite, captured before codegen's
+   hash fold and operand wiring were rewritten to allocate less: the
+   rewrite must build the same programs and hash them to the same
+   values. *)
+let golden_bootstrap = "dea35f9731b70a97e0808e98ea0f3e9c"
+let golden_table2 = "a028e589df1dd09702919f00b05ef57b"
+let golden_spec = "a4828aa99532f056cfcb9b8c3742943c"
+
+let test_golden_bootstrap () =
+  let kernels = bootstrap_kernels (arch ()) in
+  Alcotest.(check int) "kernels" 324 (List.length kernels);
+  Alcotest.(check string) "bootstrap digest" golden_bootstrap
+    (digest_programs kernels)
+
+let test_golden_table2 () =
+  let a = arch () in
+  let machine = Mp_sim.Machine.create ~cache:false a.Arch.uarch in
+  let fams = Mp_workloads.Training.table2 ~machine ~arch:a ~quick:true () in
+  Alcotest.(check string) "quick Table-2 digest" golden_table2
+    (digest_programs
+       (List.map
+          (fun (e : Mp_workloads.Training.entry) ->
+            e.Mp_workloads.Training.program)
+          (Mp_workloads.Training.all_entries fams)))
+
+let test_golden_spec () =
+  let suite = Mp_workloads.Spec.suite ~arch:(arch ()) () in
+  Alcotest.(check string) "Spec digest" golden_spec
+    (digest_programs
+       (List.concat_map
+          (fun (bm : Mp_workloads.Spec.benchmark) ->
+            List.map fst bm.Mp_workloads.Spec.phases)
+          suite))
+
 let () =
   Alcotest.run "mp_codegen"
     [
@@ -498,4 +596,8 @@ let () =
        [ QCheck_alcotest.to_alcotest prop_all_isa_instructions_synthesisable;
          QCheck_alcotest.to_alcotest prop_random_profiles_valid;
          QCheck_alcotest.to_alcotest prop_one_instruction_changes_hash ]);
+      ("golden",
+       [ Alcotest.test_case "bootstrap kernels" `Quick test_golden_bootstrap;
+         Alcotest.test_case "quick Table-2 suite" `Quick test_golden_table2;
+         Alcotest.test_case "Spec suite" `Quick test_golden_spec ]);
     ]

@@ -1,8 +1,9 @@
 (* Tests for the simulator hot loop: golden digests of Core_sim.run_ex
    output that pin the dense and the period-skipped paths bit for bit,
    allocation gates on the per-cycle, per-access, per-run and per-deploy
-   paths, the per-domain run arena's reuse, and the clean failure of a
-   starved SMT thread. *)
+   paths and on each layer around them (codegen, stream synthesis, SMT
+   deploy, power sampling, replay lookup), the per-domain run arena's
+   reuse, and the clean failure of a starved SMT thread. *)
 
 open Mp_codegen
 open Mp_sim
@@ -168,12 +169,23 @@ let fold_run b (activity, delta) =
     List.iter (fun (p, n, k) -> pr "tr %d>%d:%d " p n k) d.pd_transitions;
     pr "\n"
 
-let training_suite a =
-  let machine = Machine.create ~cache:false ~replay:false a.Arch.uarch in
-  let fams = Mp_workloads.Training.table2 ~machine ~arch:a ~quick:true () in
-  List.map
-    (fun (e : Mp_workloads.Training.entry) -> e.Mp_workloads.Training.program)
-    (Mp_workloads.Training.all_entries fams)
+(* built once per test binary: generating it measures every program *)
+let training_suite =
+  let suite = ref None in
+  fun a ->
+    match !suite with
+    | Some s -> s
+    | None ->
+      let machine = Machine.create ~cache:false ~replay:false a.Arch.uarch in
+      let fams = Mp_workloads.Training.table2 ~machine ~arch:a ~quick:true () in
+      let s =
+        List.map
+          (fun (e : Mp_workloads.Training.entry) ->
+            e.Mp_workloads.Training.program)
+          (Mp_workloads.Training.all_entries fams)
+      in
+      suite := Some s;
+      s
 
 (* MD5 of the text above over the whole set, captured from the previous
    implementation of the cycle loop (closures and a full pipe test per
@@ -351,11 +363,11 @@ let test_warm_run_major_alloc () =
     kernels
 
 (* Deploy decodes each opcode once per intern table; a re-deploy only
-   maps registers, binds streams and builds the body, about 20 words per
-   instruction where re-deriving every opcode's pipe uses took about
-   100. Streams come from a prepared array, so the count is deploy's
-   own. *)
-let max_deploy_words_per_instr = 24.0
+   maps registers, binds streams and builds the body, sharing one entry
+   among instructions with equal opcode, operands and stream. Streams
+   come from a prepared array, one per instruction, so the count is
+   deploy's own. *)
+let max_deploy_words_per_instr = 18.5
 
 let test_deploy_alloc () =
   let a = arch () in
@@ -389,6 +401,230 @@ let test_deploy_alloc () =
        per_instr max_deploy_words_per_instr)
     true
     (per_instr <= max_deploy_words_per_instr)
+
+(* Codegen of one 512-instruction kernel, warm: the builder's slot
+   arrays, each instruction with its operand lists and immediate, the
+   register initialisation, and no word per byte the content hashes
+   fold. *)
+let max_codegen_words = [ ("add", false, 6_800.0); ("lbz", true, 17_700.0) ]
+
+let test_codegen_alloc () =
+  let a = arch () in
+  List.iter
+    (fun (mnemonic, deps, bound) ->
+      let dep = if deps then Builder.Fixed 1 else Builder.No_deps in
+      let build () = ignore (mono a ~size:512 ~dep mnemonic) in
+      build ();
+      let w = minor_words build in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: %.0f minor words per kernel (bound %.0f)"
+           mnemonic (if deps then "dep" else "nodep") w bound)
+        true (w <= bound))
+    max_codegen_words
+
+(* The m-th and (m+p)-th instruction on a level whose pool has p lines
+   walk the same addresses, so a thread's streams cost one array per
+   distinct (level, m mod p), not one per memory instruction. Targets:
+   512 loads on L2 (25-line pool) and 300 over all four levels. *)
+let max_stream_words_per_thread = 2_150.0
+
+let test_streams_alloc () =
+  let a = arch () in
+  let open Mp_uarch.Cache_geometry in
+  let levels = [| L1; L2; L3; MEM |] in
+  let mixes =
+    [ Array.make 512 L2;
+      Array.init 300 (fun i -> levels.(((i * 7) + (i / 5)) mod 4)) ]
+  in
+  (* minor words over every thread of SMT 1/2/4, and the thread count *)
+  let draw_all () =
+    let words = ref 0.0 and threads = ref 0 in
+    List.iter
+      (fun targets ->
+        List.iter
+          (fun smt ->
+            let rng = Mp_util.Rng.create smt in
+            for tid = 0 to smt - 1 do
+              let plan =
+                Mp_mem.Set_assoc_model.create ~uarch:a.Arch.uarch
+                  ~partition:(tid, smt)
+                  ~distribution:[ (L1, 1.0); (L2, 1.0); (L3, 1.0); (MEM, 1.0) ]
+                  ()
+              in
+              words :=
+                !words
+                +. minor_words (fun () ->
+                       ignore
+                         (Mp_mem.Set_assoc_model.coordinated_streams plan rng
+                            ~targets));
+              incr threads
+            done)
+          [ 1; 2; 4 ])
+      mixes;
+    !words /. float_of_int !threads
+  in
+  ignore (draw_all ());
+  let per_thread = draw_all () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per thread (bound %.0f)" per_thread
+       max_stream_words_per_thread)
+    true
+    (per_thread <= max_stream_words_per_thread)
+
+(* An SMT-4 homogeneous memory job deploys its program once: threads 1-3
+   share every instruction but the streamed ones, which bind their own
+   streams, and instructions with equal operands and stream share one
+   entry. Streams are drawn up front, so the count is the deploy's
+   own. *)
+let max_job_deploy_words_per_instr = 8.0
+
+let test_job_deploy_alloc () =
+  let a = arch () in
+  let uarch = a.Arch.uarch in
+  let opmap = Core_sim.opmap_create () in
+  let jobs =
+    [ mono a ~size:512 ~mem_mix:[ (Mp_uarch.Cache_geometry.L2, 1.0) ] "lbz";
+      List.hd (class_mixes a) ]
+  in
+  (* each thread's coordinated streams, by body position, drawn up front *)
+  let prepared =
+    List.map
+      (fun (p : Ir.t) ->
+        let rng = Mp_util.Rng.create 4 in
+        let streams =
+          Array.init 4 (fun tid ->
+              let plan =
+                Mp_mem.Set_assoc_model.create ~uarch ~partition:(tid, 4)
+                  ~distribution:(Option.get p.Ir.memory_distribution) ()
+              in
+              let mem = Array.of_list (Ir.memory_instructions p) in
+              let s =
+                Mp_mem.Set_assoc_model.coordinated_streams plan rng
+                  ~targets:
+                    (Array.map
+                       (fun (i : Ir.instr) -> Option.get i.Ir.mem_target)
+                       mem)
+              in
+              let by_index = Array.make (Ir.size p) [||] in
+              Array.iteri
+                (fun k (i : Ir.instr) ->
+                  by_index.(i.Ir.index) <-
+                    s.(k).Mp_mem.Set_assoc_model.addresses)
+                mem;
+              by_index)
+        in
+        (p, fun tid idx -> streams.(tid).(idx)))
+      jobs
+  in
+  let deploy_all () =
+    List.iter
+      (fun (p, streams) ->
+        ignore
+          (Core_sim.deploy_threads ~uarch ~opmap ~streams (Array.make 4 p)))
+      prepared
+  in
+  deploy_all ();
+  let instrs =
+    List.fold_left (fun acc (p, _) -> acc + (4 * (Ir.size p + 1))) 0 prepared
+  in
+  let per_instr = minor_words deploy_all /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per thread-instruction (bound %.2f)"
+       per_instr max_job_deploy_words_per_instr)
+    true
+    (per_instr <= max_job_deploy_words_per_instr)
+
+(* Dense runs of the training suite's first programs, a level kernel and
+   a mix, at SMT 1 and 2, on one intern table: the activities the
+   sample and replay gates read. *)
+let sample_runs a =
+  let uarch = a.Arch.uarch in
+  let opmap = Core_sim.opmap_create () in
+  let progs =
+    (List.filteri (fun i _ -> i < 6) (training_suite a))
+    @ [ List.nth (level_kernels a) 1 ] @ class_mixes a
+  in
+  ( opmap,
+    List.concat_map
+      (fun p ->
+        List.map
+          (fun smt ->
+            let dps = deploy_smt a ~opmap ~smt p in
+            (p, smt, Core_sim.run_ex ~uarch ~opmap ~warmup:1 ~measure:8 dps))
+          [ 1; 2 ])
+      progs )
+
+(* A sample sums opcode and transition energies by intern id in name
+   order, from a per-domain memo with scratch arrays for ordering the
+   transitions: what it allocates is the 24-sample trace and its
+   reading. *)
+let max_sample_words = 320.0
+
+let test_power_sample_alloc () =
+  let a = arch () in
+  let opmap, runs = sample_runs a in
+  let table = Energy_table.power7 in
+  let config = Mp_uarch.Uarch_def.config ~cores:4 ~smt:2 a.Arch.uarch in
+  let sample_all () =
+    List.iter
+      (fun (_, _, (activity, _)) ->
+        ignore
+          (Power_sim.sample ~table ~rng:(Mp_util.Rng.create 1) ~config ~opmap
+             ~activity ()))
+      runs
+  in
+  sample_all ();
+  let per_sample = minor_words sample_all /. float_of_int (List.length runs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per sample (bound %.0f)" per_sample
+       max_sample_words)
+    true
+    (per_sample <= max_sample_words)
+
+(* A replay hit merges the base and k periods of name-sorted lists and
+   interns each distinct name once: its words are the reified activity
+   and the merge's arrays. Hits at the recorded window (k = 0) and at a
+   window two periods longer. *)
+let max_find_words = 1_960.0
+
+let test_replay_find_alloc () =
+  let a = arch () in
+  let opmap, runs = sample_runs a in
+  let table = Replay.create () in
+  let keyed =
+    List.mapi
+      (fun i ((p : Ir.t), smt, (activity, pd)) ->
+        let key = Printf.sprintf "%d-%s-%d" i p.Ir.name smt in
+        Replay.record table ~opmap ~measure:8 key activity pd;
+        let longer =
+          match pd with
+          | Some d -> 8 + (2 * d.Core_sim.pd_period_iters)
+          | None -> 8
+        in
+        (key, activity.Core_sim.daf, longer))
+      runs
+  in
+  let hits = ref 0 in
+  let find_all () =
+    List.iter
+      (fun (key, daf, longer) ->
+        List.iter
+          (fun measure ->
+            match Replay.find table ~opmap ~daf ~warmup:1 ~measure key with
+            | Some _ -> incr hits
+            | None -> Alcotest.fail ("replay missed " ^ key))
+          [ 8; longer ])
+      keyed
+  in
+  find_all ();
+  hits := 0;
+  let words = minor_words find_all in
+  let per_hit = words /. float_of_int !hits in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per hit over %d hits (bound %.0f)"
+       per_hit !hits max_find_words)
+    true
+    (per_hit <= max_find_words)
 
 (* ----- the run arena ---------------------------------------------------- *)
 
@@ -549,7 +785,12 @@ let () =
          Alcotest.test_case "dense run" `Quick test_dense_run_alloc;
          Alcotest.test_case "warm dense run, major heap" `Quick
            test_warm_run_major_alloc;
-         Alcotest.test_case "deploy" `Quick test_deploy_alloc ]);
+         Alcotest.test_case "deploy" `Quick test_deploy_alloc;
+         Alcotest.test_case "codegen" `Quick test_codegen_alloc;
+         Alcotest.test_case "coordinated streams" `Quick test_streams_alloc;
+         Alcotest.test_case "smt job deploy" `Quick test_job_deploy_alloc;
+         Alcotest.test_case "power sample" `Quick test_power_sample_alloc;
+         Alcotest.test_case "replay find" `Quick test_replay_find_alloc ]);
       ("arena",
        [ Alcotest.test_case "run after a starved run" `Quick
            test_run_after_starvation;

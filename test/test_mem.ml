@@ -304,6 +304,54 @@ let test_pure_levels_exact () =
         (List.assoc lvl measured >= 0.97))
     Cache_geometry.all_levels
 
+(* ----- golden streams ------------------------------------------------------ *)
+
+(* MD5 of every stream [coordinated_streams] returns — target and
+   addresses — over target mixes (one level, many instructions per
+   level pool, all four levels interleaved, a short body) x every
+   thread of SMT 1/2/4 partitions x three seeds, captured before the
+   streams of one level were shared between instructions: sharing must
+   hand each instruction the same addresses. *)
+let golden_streams = "b2ba5cba75291f9aa78ca1eff4973ba6"
+
+let test_golden_streams () =
+  let open Cache_geometry in
+  let levels = [| L1; L2; L3; MEM |] in
+  let mixes =
+    [ Array.make 64 L1;
+      Array.make 100 L2;
+      Array.init 300 (fun i -> levels.((i * 7 + (i / 5)) mod 4));
+      [| MEM; L3; L3; L1 |] ]
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun targets ->
+      List.iter
+        (fun smt ->
+          for tid = 0 to smt - 1 do
+            List.iter
+              (fun seed ->
+                let plan =
+                  mk ~partition:(tid, smt)
+                    [ (L1, 0.4); (L2, 0.3); (L3, 0.2); (MEM, 0.1) ]
+                in
+                let rng = Mp_util.Rng.create seed in
+                Printf.bprintf b "== %d %d/%d %d\n" (Array.length targets) tid
+                  smt seed;
+                Array.iter
+                  (fun (s : Mp_mem.Set_assoc_model.stream) ->
+                    Printf.bprintf b "%s:" (level_to_string s.target);
+                    Array.iter (Printf.bprintf b "%x,") s.addresses;
+                    Buffer.add_char b '\n')
+                  (Mp_mem.Set_assoc_model.coordinated_streams plan rng
+                     ~targets))
+              [ 1; 2012; 77 ]
+          done)
+        [ 1; 2; 4 ])
+    mixes;
+  Alcotest.(check string) "coordinated streams digest" golden_streams
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "mp_mem"
     [
@@ -323,7 +371,9 @@ let () =
          Alcotest.test_case "global cycle" `Quick test_coordinated_streams_global_cycle;
          Alcotest.test_case "apportionment" `Quick test_coordinated_apportionment;
          Alcotest.test_case "loop counts" `Quick test_streams_for_loop_counts;
-         Alcotest.test_case "footprint" `Quick test_footprint ]);
+         Alcotest.test_case "footprint" `Quick test_footprint;
+         Alcotest.test_case "golden coordinated streams" `Quick
+           test_golden_streams ]);
       ("simulation",
        [ Alcotest.test_case "mixed guarantee" `Quick test_guarantee_under_simulation;
          Alcotest.test_case "pure levels" `Quick test_pure_levels_exact ]);

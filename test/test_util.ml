@@ -445,6 +445,72 @@ let test_env_grammar () =
     rows;
   Unix.putenv var ""
 
+(* ----- decimal writer and hash accumulator ------------------------------- *)
+
+(* The fingerprint writer must produce exactly [string_of_int]'s bytes:
+   period detection keys on the fingerprint string. *)
+let test_decimal_writer () =
+  let rng = Mp_util.Rng.create 2012 in
+  let sample =
+    List.init 2000 (fun i ->
+        let v = Int64.to_int (Mp_util.Rng.bits64 rng) in
+        (* every magnitude: shift a random word right by 0..62 bits *)
+        let v = v asr (i mod 63) in
+        if i land 1 = 0 then v else -v)
+  in
+  let b = Buffer.create 32 in
+  List.iter
+    (fun n ->
+      Buffer.clear b;
+      Mp_util.Decimal.add_int b n;
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (Buffer.contents b))
+    ([ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1;
+       min_int + 1 ]
+    @ sample)
+
+(* The allocation-free pair reads back the boxed folds' values for the
+   same bytes, with and without the prefix, over every fold and random
+   inputs. *)
+let test_fnv_pair () =
+  let module F = Mp_util.Fnv in
+  let rng = Mp_util.Rng.create 7 in
+  let random_string () =
+    String.init (Mp_util.Rng.int rng 12) (fun _ ->
+        Char.chr (Mp_util.Rng.int rng 256))
+  in
+  for _ = 1 to 200 do
+    let prefix = random_string () in
+    let h1 = ref (F.string F.seed prefix) and h2 = ref F.seed in
+    let p = F.pair ~prefix in
+    let both f = h1 := f !h1; h2 := f !h2 in
+    for _ = 1 to 50 do
+      match Mp_util.Rng.int rng 4 with
+      | 0 ->
+        let v = Mp_util.Rng.int rng 1024 in
+        both (fun h -> F.byte h v);
+        F.pair_byte p v
+      | 1 ->
+        let v = Int64.to_int (Mp_util.Rng.bits64 rng) in
+        let v = if Mp_util.Rng.bool rng then v else -v in
+        both (fun h -> F.int h v);
+        F.pair_int p v
+      | 2 ->
+        let v = Mp_util.Rng.bits64 rng in
+        both (fun h -> F.int64 h v);
+        F.pair_int64 p v
+      | _ ->
+        let s = random_string () in
+        both (fun h -> F.string h s);
+        F.pair_string p s
+    done;
+    let v1, v2 = F.values p in
+    Alcotest.(check (pair int64 int64)) "pair = boxed folds" (!h1, !h2) (v1, v2)
+  done;
+  let p = F.pair ~prefix:"" in
+  F.pair_int p min_int;
+  Alcotest.(check int64) "min_int" (F.int F.seed min_int) (snd (F.values p))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_int_in_bounds; prop_int_in_range; prop_shuffle_permutation;
       prop_float_bounds; prop_percentile_monotone; prop_mean_bounded;
@@ -500,5 +566,9 @@ let () =
              test_frame_oversized_write_rejected ]
        @ transport_qsuite);
       ("env", [ Alcotest.test_case "knob grammar" `Quick test_env_grammar ]);
+      ("hashing",
+       [ Alcotest.test_case "decimal writer = string_of_int" `Quick
+           test_decimal_writer;
+         Alcotest.test_case "fnv pair = boxed folds" `Quick test_fnv_pair ]);
       ("properties", qsuite);
     ]
