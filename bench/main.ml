@@ -221,19 +221,19 @@ let () =
       (float_of_int (Microprobe.Shard_exec.chunks_speculated ()));
     Context.record_metric ctx "chunks_cancelled"
       (float_of_int (Microprobe.Shard_exec.chunks_cancelled ()));
-    (* how sharded the on-disk replay store ended up — the same figure
-       `mp-cache stat --json` reports *)
+    (* how many segment files the on-disk replay store holds — the same
+       figure `mp-cache stat --json` reports *)
     (let dir =
        match Microprobe.Measurement_cache.env_disk () with
        | Some d -> d.Microprobe.Measurement_cache.dir
        | None -> "_mp_cache"
      in
      let rdir = Microprobe.Measurement_cache.replay_dir dir in
-     Context.record_metric ctx "replay_store_shards"
+     Context.record_metric ctx "replay_store_segments"
        (if Sys.file_exists rdir then
           float_of_int
             (Microprobe.Measurement_cache.disk_stats rdir)
-              .Microprobe.Measurement_cache.ds_shards
+              .Microprobe.Measurement_cache.ds_segments
         else 0.0));
     (* duplicate points collapsed before simulation, at both layers:
        Machine.run_batch within-batch dedup and Driver.eval_list keyed

@@ -366,8 +366,8 @@ let cache_gc dir max_mb =
     else begin
       let s = Measurement_cache.gc ~max_bytes:b dir in
       Printf.printf
-        "%s: %d entries, %.1f MiB -> %.1f MiB (removed %d, bound %.1f MiB)\n"
-        dir s.Measurement_cache.entries
+        "%s: %d segments, %.1f MiB -> %.1f MiB (removed %d, bound %.1f MiB)\n"
+        dir s.Measurement_cache.segments
         (float_of_int s.Measurement_cache.bytes_before /. mib)
         (float_of_int s.Measurement_cache.bytes_after /. mib)
         s.Measurement_cache.removed
@@ -392,8 +392,8 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* What's on disk for the current build: entry counts and sizes for
-   the measurement cache and the replay store it contains, plus the
+(* What's on disk for the current build: entry, segment and byte counts
+   for the measurement cache and the replay store it contains, plus the
    namespace entries of this binary carry. Read-only. [--json] emits
    the same facts as one machine-readable object on stdout (absent
    stores are [null], so consumers need no existence probe of their
@@ -411,7 +411,7 @@ let cache_stat dir json =
   let stats d =
     let s = Measurement_cache.disk_stats d in
     ( s.Measurement_cache.ds_entries,
-      s.Measurement_cache.ds_shards,
+      s.Measurement_cache.ds_segments,
       s.Measurement_cache.ds_bytes )
   in
   let rdir = Measurement_cache.replay_dir dir in
@@ -419,9 +419,9 @@ let cache_stat dir json =
     let store d =
       if not (Sys.file_exists d) then "null"
       else
-        let entries, shards, bytes = stats d in
-        Printf.sprintf "{\"entries\": %d, \"shards\": %d, \"bytes\": %d}"
-          entries shards bytes
+        let entries, segments, bytes = stats d in
+        Printf.sprintf "{\"entries\": %d, \"segments\": %d, \"bytes\": %d}"
+          entries segments bytes
     in
     Printf.printf
       "{\"directory\": \"%s\", \"namespace\": \"%s\", \"cache\": %s, \
@@ -436,14 +436,14 @@ let cache_stat dir json =
     Printf.printf "namespace:  %s\n" (Measurement_cache.namespace ());
     if not exists then Printf.printf "(no cache directory yet)\n"
     else begin
-      let entries, shards, bytes = stats dir in
-      Printf.printf "cache:      %d entries in %d shards, %.1f MiB\n" entries
-        shards
+      let entries, segments, bytes = stats dir in
+      Printf.printf "cache:      %d entries in %d segments, %.1f MiB\n"
+        entries segments
         (float_of_int bytes /. mib);
       if Sys.file_exists rdir then begin
-        let entries, shards, bytes = stats rdir in
-        Printf.printf "replay:     %d records in %d shards, %.1f MiB\n"
-          entries shards
+        let entries, segments, bytes = stats rdir in
+        Printf.printf "replay:     %d records in %d segments, %.1f MiB\n"
+          entries segments
           (float_of_int bytes /. mib)
       end
       else Printf.printf "replay:     (no store)\n"
@@ -465,15 +465,15 @@ let cache_cmd =
       & opt (some float) None
       & info [ "max-mb" ] ~docv:"MB"
           ~doc:
-            "Size bound in MiB; oldest entries are pruned until the \
+            "Size bound in MiB; oldest segments are evicted until the \
              directory fits (default: $(b,MP_CACHE_MAX_MB)).")
   in
   let gc =
     Cmd.v
       (Cmd.info "gc"
          ~doc:
-           "Prune oldest measurement-cache entries past the size bound \
-            (in-flight writes are never touched)")
+           "Evict the oldest measurement-cache and replay segments past \
+            the size bound (a live writer's segment goes last)")
       Term.(const cache_gc $ dir_t $ max_mb_t)
   in
   let json_t =
@@ -486,7 +486,7 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "stat"
          ~doc:
-           "Show shard, entry and size statistics for the measurement \
+           "Show segment, entry and size statistics for the measurement \
             cache and the replay store, plus this build's namespace")
       Term.(const cache_stat $ dir_t $ json_t)
   in

@@ -11,8 +11,10 @@ open Mp_codegen
    arithmetic) and seed-independent measurements drop the seed from the
    key.
    v3: keys are structural-hash folds (not Marshal+MD5 digests) and
-   entries live in two-hex-digit shard subdirectories. *)
-let schema_version = 3
+   entries live in two-hex-digit shard subdirectories.
+   v4: entries are checksummed frames appended to one segment file per
+   writing process, and replay records name each opcode once. *)
+let schema_version = 4
 
 type disk = { dir : string; namespace : string }
 
@@ -45,16 +47,6 @@ let env_disk () =
       }
   else None
 
-(* Entries shard into subdirectories named by the first two hex digits
-   of the key, so a very large cache never accumulates one enormous
-   flat directory (readdir/gc stay fast). *)
-let shard_of key = if String.length key >= 2 then String.sub key 0 2 else "00"
-
-let shard_dir disk key = Filename.concat disk.dir (shard_of key)
-
-let entry_path disk key =
-  Filename.concat (shard_dir disk key) (disk.namespace ^ "-" ^ key)
-
 (* Replay records live in this subdirectory of the cache root, written
    through the same entry functions, so the walker below prunes, bounds
    and counts both stores. *)
@@ -62,14 +54,15 @@ let replay_dir root = Filename.concat root "replay"
 
 let is_dir path = match Sys.is_directory path with d -> d | exception _ -> false
 
-(* a shard subdirectory is exactly two hex digits *)
+(* a shard subdirectory of the v3 layout: exactly two hex digits *)
 let is_shard_name f =
   String.length f = 2
   && String.for_all
        (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
        f
 
-(* a store's entry directories: its root and every shard under it *)
+(* a store's file directories: its root and any shard the v3 layout
+   left under it *)
 let store_dirs root =
   root
   ::
@@ -101,8 +94,15 @@ let files_in dirs =
 (* both stores under a cache root: measurements and replay records *)
 let cache_dirs root = store_dirs root @ store_dirs (replay_dir root)
 
-(* Drop entries left behind by other builds — at most once per
-   directory per process, best-effort. *)
+(* a file of [ns]: a segment this build wrote *)
+let of_namespace ns f =
+  let n = String.length ns in
+  String.length f > n + 1 && String.sub f 0 n = ns && f.[n] = '-'
+
+(* Drop files left behind by other builds — at most once per directory
+   per process, best-effort. That covers their segments and everything
+   in the v3 shard directories, which are then removed when empty. A
+   segment of this build is kept even while its writer is appending. *)
 let pruned_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
 let pruned_lock = Mutex.create ()
 
@@ -112,36 +112,327 @@ let prune_stale disk =
   if fresh then Hashtbl.add pruned_dirs disk.dir ();
   Mutex.unlock pruned_lock;
   if fresh then begin
-    let ns = disk.namespace in
+    let dirs = cache_dirs disk.dir in
     List.iter
       (fun (f, path, _) ->
-        let keep =
-          String.length f > String.length ns
-          && String.sub f 0 (String.length ns) = ns
-        in
-        if not keep then try Sys.remove path with _ -> ())
-      (files_in (cache_dirs disk.dir))
+        if not (of_namespace disk.namespace f) then
+          try Sys.remove path with _ -> ())
+      (files_in dirs);
+    List.iter
+      (fun d ->
+        if is_shard_name (Filename.basename d) then
+          try Unix.rmdir d with _ -> ())
+      dirs
   end
+
+(* ----- frames ------------------------------------------------------------ *)
+
+(* A store is a directory of append-only segment files, one per process
+   that wrote to it, named [<namespace>-<pid>-<nonce>]. Each entry is
+   one frame:
+
+     magic (4) | schema_version (4) | key length (4) | payload length (4)
+     | MD5 of key and payload (16) | key | Marshal payload
+
+   with little-endian integers. A reader trusts none of it: the lengths
+   must fit in the bytes the segment has, and the checksum must hold,
+   before any payload byte reaches [Marshal]. *)
+let magic = "MPf\001"
+let header_len = 32
+
+let get_u32 b o = Int32.to_int (Bytes.get_int32_le b o) land 0xFFFF_FFFF
+
+(* Each domain reads and writes frames through one buffer, grown to the
+   largest frame it has seen: a large entry then costs no major-heap
+   garbage per read or write. Like Core_sim's run arena, it assumes one
+   thread per domain. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
+let scratch n =
+  let r = Domain.DLS.get scratch_key in
+  if Bytes.length !r < n then r := Bytes.create (max n (2 * Bytes.length !r));
+  !r
+
+(* The frame for [key] and [v], in this domain's scratch buffer: the
+   buffer and the frame's length. *)
+let encode key v =
+  let klen = String.length key in
+  let rec marshal b =
+    let off = header_len + klen in
+    match Marshal.to_buffer b off (Bytes.length b - off) v [] with
+    | plen -> (b, plen)
+    | exception Failure _ -> marshal (scratch (2 * Bytes.length b))
+  in
+  let b, plen = marshal (scratch (header_len + klen + 1)) in
+  if klen + plen > 0x7FFF_FFFF then invalid_arg "Measurement_cache: entry too large";
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_int32_le b 4 (Int32.of_int schema_version);
+  Bytes.set_int32_le b 8 (Int32.of_int klen);
+  Bytes.set_int32_le b 12 (Int32.of_int plen);
+  Bytes.blit_string key 0 b header_len klen;
+  Bytes.blit_string (Digest.subbytes b header_len (klen + plen)) 0 b 16 16;
+  (b, header_len + klen + plen)
+
+(* The key and payload lengths the header at the start of [b] declares,
+   or [None] for a wrong magic or version. *)
+let header_lengths b =
+  if Bytes.sub_string b 0 4 = magic && get_u32 b 4 = schema_version then
+    Some (get_u32 b 8, get_u32 b 12)
+  else None
+
+(* [hdr]'s checksum over the [n] bytes of [body] from [off] *)
+let checksum_ok hdr body off n =
+  Digest.subbytes body off n = Bytes.sub_string hdr 16 16
+
+let rec really_read fd b off len =
+  if len > 0 then begin
+    let n = Unix.read fd b off len in
+    if n = 0 then raise End_of_file;
+    really_read fd b (off + n) (len - n)
+  end
+
+(* Walk the frames of [fd] from [pos] up to [size], calling
+   [found key pos len] for each whole frame whose checksum holds.
+   Returns where the walk stopped and whether a later walk may resume
+   there: an incomplete trailing frame — a writer mid-append, or a
+   crash — is left for later ([true]); a whole frame with a bad header
+   or checksum ends the segment ([false]). *)
+let scan_frames fd ~pos ~size found =
+  let hdr = Bytes.create header_len in
+  let at = ref pos in
+  let rec go pos =
+    at := pos;
+    if pos + header_len > size then (pos, true)
+    else begin
+      really_read fd hdr 0 header_len;
+      match header_lengths hdr with
+      | None -> (pos, false)
+      | Some (klen, _) when klen = 0 -> (pos, false)
+      | Some (klen, plen) ->
+        let len = header_len + klen + plen in
+        if pos + len > size then (pos, true)
+        else begin
+          let body = scratch (klen + plen) in
+          really_read fd body 0 (klen + plen);
+          if not (checksum_ok hdr body 0 (klen + plen)) then (pos, false)
+          else begin
+            found (Bytes.sub_string body 0 klen) pos len;
+            go (pos + len)
+          end
+        end
+    end
+  in
+  try
+    ignore (Unix.lseek fd pos Unix.SEEK_SET);
+    go pos
+  with End_of_file | Unix.Unix_error _ -> (!at, true)
+
+(* The value of the frame read back for [key] into [b.[0..n-1]]: [None]
+   unless its header, lengths, key, checksum and the payload's own
+   Marshal length all agree. *)
+let decode key b n =
+  if n < header_len then None
+  else
+    match header_lengths b with
+    | Some (klen, plen)
+      when header_len + klen + plen = n
+           && Bytes.sub_string b header_len klen = key
+           && checksum_ok b b header_len (klen + plen)
+           && Marshal.total_size b (header_len + klen) = plen ->
+      Some (Marshal.from_bytes b (header_len + klen))
+    | _ -> None
+
+(* ----- stores ------------------------------------------------------------ *)
+
+type segment = {
+  path : string;
+  mine : bool;  (* this process appends to it *)
+  mutable fd : Unix.file_descr option;  (* read handle, opened on first use *)
+  mutable scanned : int;  (* end of the last whole frame indexed *)
+  mutable seen : int;  (* the file's size at the last scan *)
+  mutable bad : bool;  (* a bad frame, or a vanished file, ended its scan *)
+}
+
+(* One per (directory, namespace) per process, shared by every cache
+   and replay table on it. The index holds where each key's latest
+   frame is, never the payload. *)
+type store = {
+  lock : Mutex.t;
+  sdisk : disk;
+  index : (string, segment * int * int) Hashtbl.t;  (* segment, offset, length *)
+  segments : (string, segment) Hashtbl.t;  (* by file name *)
+  mutable own : (Unix.file_descr * segment) option;
+  mutable listed : bool;  (* the first lookup has scanned the directory *)
+  mutable dir_mtime : float;
+  mutable racy : bool;
+}
+
+(* A directory listed within this long of its last change may have
+   gained a file in the same timestamp tick without its mtime moving,
+   so the next miss lists it again. Generous for coarse (1–2 s)
+   filesystem clocks; a listing costs a few microseconds. *)
+let racy_window_s = 2.0
+
+let stores : (string * string, store) Hashtbl.t = Hashtbl.create 4
+let stores_lock = Mutex.create ()
+
+let store_of disk =
+  Mutex.protect stores_lock (fun () ->
+      let k = (disk.dir, disk.namespace) in
+      match Hashtbl.find_opt stores k with
+      | Some st -> st
+      | None ->
+        let st =
+          {
+            lock = Mutex.create ();
+            sdisk = disk;
+            index = Hashtbl.create 256;
+            segments = Hashtbl.create 4;
+            own = None;
+            listed = false;
+            dir_mtime = nan;
+            racy = true;
+          }
+        in
+        Hashtbl.add stores k st;
+        st)
+
+let rec ensure_dir dir =
+  if not (is_dir dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with _ -> ()
+  end
+
+(* The segment this process appends to, created on its first write.
+   [O_EXCL] guarantees it is new: a writer never appends after someone
+   else's torn tail. *)
+let own_segment st =
+  match st.own with
+  | Some o -> o
+  | None ->
+    ensure_dir st.sdisk.dir;
+    let rec create nonce =
+      let name =
+        Printf.sprintf "%s-%d-%x" st.sdisk.namespace (Unix.getpid ()) nonce
+      in
+      let path = Filename.concat st.sdisk.dir name in
+      match
+        Unix.openfile path
+          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_APPEND;
+            Unix.O_CLOEXEC ]
+          0o644
+      with
+      | fd ->
+        let seg =
+          { path; mine = true; fd = None; scanned = 0; seen = 0; bad = false }
+        in
+        Hashtbl.replace st.segments name seg;
+        st.own <- Some (fd, seg);
+        (fd, seg)
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create (nonce + 1)
+    in
+    create (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFF_FFFF)
+
+let read_fd seg =
+  match seg.fd with
+  | Some _ as fd -> fd
+  | None when seg.bad -> None
+  | None ->
+    (match Unix.openfile seg.path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+     | fd ->
+       seg.fd <- Some fd;
+       seg.fd
+     | exception Unix.Unix_error _ ->
+       seg.bad <- true;
+       None)
+
+(* Index whatever another process appended to [seg] since its last
+   scan. *)
+let scan st seg =
+  match read_fd seg with
+  | None -> ()
+  | Some fd ->
+    let size = (Unix.fstat fd).Unix.st_size in
+    if size <> seg.seen && not seg.bad then begin
+      seg.seen <- size;
+      let stop, resumable =
+        scan_frames fd ~pos:seg.scanned ~size (fun key pos len ->
+            Hashtbl.replace st.index key (seg, pos, len))
+      in
+      seg.scanned <- stop;
+      if not resumable then seg.bad <- true
+    end
+
+(* Re-read only what other processes appended since the last scan:
+   segments new to the directory (listed only when its mtime moved, or
+   the last listing was racy) and grown tails. Our own frames are
+   indexed as they are written. *)
+let refresh st =
+  let dir = st.sdisk.dir in
+  (match Unix.stat dir with
+   | exception Unix.Unix_error _ -> ()
+   | d ->
+     let m = d.Unix.st_mtime in
+     if st.racy || m <> st.dir_mtime then begin
+       st.racy <- Unix.gettimeofday () -. m < racy_window_s;
+       st.dir_mtime <- m;
+       Array.iter
+         (fun f ->
+           if of_namespace st.sdisk.namespace f && not (Hashtbl.mem st.segments f)
+           then
+             Hashtbl.add st.segments f
+               {
+                 path = Filename.concat dir f;
+                 mine = false;
+                 fd = None;
+                 scanned = 0;
+                 seen = -1;
+                 bad = false;
+               })
+         (try Sys.readdir dir with Sys_error _ -> [||])
+     end);
+  Hashtbl.iter (fun _ seg -> if not seg.mine then scan st seg) st.segments
+
+(* Read [key]'s latest frame into this domain's scratch buffer, under
+   the store lock; its length. The index is built on the store's first
+   lookup and refreshed on a miss. *)
+let locate st key =
+  let slot =
+    match Hashtbl.find_opt st.index key with
+    | Some _ as s when st.listed -> s
+    | _ ->
+      st.listed <- true;
+      refresh st;
+      Hashtbl.find_opt st.index key
+  in
+  match slot with
+  | None -> None
+  | Some (seg, pos, len) ->
+    Option.bind (read_fd seg) (fun fd ->
+        match
+          ignore (Unix.lseek fd pos Unix.SEEK_SET);
+          really_read fd (scratch len) 0 len
+        with
+        | () -> Some len
+        | exception (End_of_file | Unix.Unix_error _) -> None)
 
 (* ----- housekeeping ------------------------------------------------------ *)
 
-(* A cache directory grows without bound: the current build's entries
+(* A cache directory grows without bound: the current build's segments
    accumulate across runs and every rebuild starts a fresh namespace.
-   [gc] bounds it by total size, evicting in oldest-mtime order (a
-   cheap LRU proxy: [find] never touches mtime, so "oldest" means
-   "written longest ago", which across builds and long campaigns is the
-   entry least likely to be asked for again). In-flight writes —
-   [.tmp.*] files, which [write_entry] renames into place when complete
-   — are never touched. *)
+   [gc] bounds it by total size, evicting whole segments in
+   oldest-mtime order (a cheap LRU proxy: reads never touch mtime and
+   appends do, so "oldest" means "written to longest ago", which across
+   builds and long campaigns is the segment least likely to be asked
+   for again). A live writer's segment is the newest, so it goes
+   last. *)
 
 type gc_stats = {
-  entries : int;
+  segments : int;
   removed : int;
   bytes_before : int;
   bytes_after : int;
 }
-
-let is_tmp f = String.length f >= 5 && String.sub f 0 5 = ".tmp."
 
 let env_max_bytes () =
   Option.map
@@ -156,15 +447,14 @@ let gc ?max_bytes dir =
   in
   (* oldest first; the path breaks mtime ties so eviction is
      deterministic *)
-  let entries =
+  let segments =
     files_in (cache_dirs dir)
-    |> List.filter_map (fun (f, path, st) ->
-           if is_tmp f then None
-           else Some (st.Unix.st_mtime, path, st.Unix.st_size))
+    |> List.map (fun (_, path, st) ->
+           (st.Unix.st_mtime, path, st.Unix.st_size))
     |> List.sort compare
   in
   let bytes_before =
-    List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 entries
+    List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 segments
   in
   let total = ref bytes_before in
   let removed = ref 0 in
@@ -176,30 +466,39 @@ let gc ?max_bytes dir =
           total := !total - sz;
           incr removed
         | exception _ -> ())
-    entries;
+    segments;
   {
-    entries = List.length entries;
+    segments = List.length segments;
     removed = !removed;
     bytes_before;
     bytes_after = !total;
   }
 
 (* Read-only counterpart to [gc]'s scan, for the `mp-cache stat` CLI:
-   how many shard subdirectories, entry files and bytes one store
-   holds. In-flight [.tmp.*] files are excluded, like everywhere
-   else. *)
-type disk_stats = { ds_shards : int; ds_entries : int; ds_bytes : int }
+   how many segment files, distinct live keys and bytes one store
+   holds. *)
+type disk_stats = { ds_segments : int; ds_entries : int; ds_bytes : int }
 
 let disk_stats dir =
-  let dirs = store_dirs dir in
-  let entries, bytes =
-    List.fold_left
-      (fun (entries, bytes) (f, _, st) ->
-        if is_tmp f then (entries, bytes)
-        else (entries + 1, bytes + st.Unix.st_size))
-      (0, 0) (files_in dirs)
-  in
-  { ds_shards = List.length dirs - 1; ds_entries = entries; ds_bytes = bytes }
+  let keys = Hashtbl.create 64 in
+  let segments = files_in [ dir ] in
+  List.iter
+    (fun (_, path, st) ->
+      match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+      | exception Unix.Unix_error _ -> ()
+      | fd ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            ignore
+              (scan_frames fd ~pos:0 ~size:st.Unix.st_size (fun k _ _ ->
+                   Hashtbl.replace keys k ()))))
+    segments;
+  {
+    ds_segments = List.length segments;
+    ds_entries = Hashtbl.length keys;
+    ds_bytes = List.fold_left (fun acc (_, _, st) -> acc + st.Unix.st_size) 0 segments;
+  }
 
 (* Enforce the MP_CACHE_MAX_MB bound automatically — at most once per
    directory per process, like [prune_stale], so repeated
@@ -218,50 +517,37 @@ let gc_auto disk =
 
 (* ----- entries ----------------------------------------------------------- *)
 
-let rec ensure_dir dir =
-  if not (is_dir dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with _ -> ()
-  end
-
-let tmp_counter = Atomic.make 0
-
-(* write-to-temp + rename: readers never observe a partial entry, and
-   concurrent writers of the same key are both writing identical bytes.
-   The temp lives in the shard directory so the rename stays atomic
-   within one directory. *)
+(* One frame, encoded outside the lock and appended with one write
+   before this returns, so another process can read it at once.
+   Best-effort: IO errors are swallowed. *)
 let write_entry disk key v =
   try
-    let shard = shard_dir disk key in
-    ensure_dir shard;
-    let tmp =
-      Filename.concat shard
-        (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-           (Atomic.fetch_and_add tmp_counter 1))
-    in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Marshal.to_channel oc (schema_version, key, v) [];
-        close_out oc);
-    Sys.rename tmp (entry_path disk key)
+    let frame, n = encode key v in
+    let st = store_of disk in
+    Mutex.protect st.lock (fun () ->
+        let fd, seg = own_segment st in
+        match
+          let pos = Unix.lseek fd 0 Unix.SEEK_END in
+          (pos, Unix.write fd frame 0 n)
+        with
+        | pos, len -> Hashtbl.replace st.index key (seg, pos, len)
+        | exception e ->
+          (* a failed write may leave a torn frame: the next write
+             starts a fresh segment rather than append after it *)
+          st.own <- None;
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          raise e)
   with _ -> ()
 
-(* any failure — missing file, truncation, corruption, wrong version —
-   is a miss, never an error *)
+(* any failure — no frame, truncation, corruption, wrong version — is a
+   miss, never an error; the checks run outside the lock *)
 let read_entry disk key =
-  match open_in_bin (entry_path disk key) with
-  | exception _ -> None
-  | ic ->
-    let r =
-      try
-        let (v : int), (k : string), payload = Marshal.from_channel ic in
-        if v = schema_version && k = key then Some payload else None
-      with _ -> None
-    in
-    close_in_noerr ic;
-    r
+  try
+    let st = store_of disk in
+    Option.bind
+      (Mutex.protect st.lock (fun () -> locate st key))
+      (fun n -> decode key (scratch n) n)
+  with _ -> None
 
 (* ----- the cache --------------------------------------------------------- *)
 

@@ -20,18 +20,24 @@
     {2 Disk persistence}
 
     A cache created with [~disk] also persists entries under
-    [disk.dir], one file per entry ([namespace ^ "-" ^ key], written to
-    a temp file and renamed so readers never see partial entries), and
-    consults the directory on in-memory misses — repeated harness
-    invocations skip every point a previous run already simulated.
-    Entries shard into subdirectories named by the first two hex digits
-    of the key ([disk.dir/ab/<namespace>-<key>]) so huge caches never
-    accumulate one enormous flat directory. The namespace stamps the
-    schema version {e and a digest of the running executable}: entries
-    written by a different build are ignored (and pruned on first use),
-    because a rebuilt simulator may map the same key to a different
-    measurement. Corrupt, truncated or wrong-version files are treated
-    as misses, never errors.
+    [disk.dir] and consults the directory on in-memory misses —
+    repeated harness invocations skip every point a previous run
+    already simulated. Each process appends to one segment file per
+    store ([<namespace>-<pid>-<nonce>], created on its first write with
+    [O_EXCL]); each entry is one checksummed frame — header, key,
+    [Marshal] payload — written with a single write before {!add}
+    returns, so another process can read it at once. Lookups go
+    through an in-memory index (key to segment, offset and length),
+    built on the store's first disk lookup and refreshed on a miss by
+    reading only what other processes appended since: new segments and
+    grown tails. The namespace stamps the schema version {e and a
+    digest of the running executable}: segments written by a different
+    build are ignored (and pruned on first use), because a rebuilt
+    simulator may map the same key to a different measurement. A frame
+    whose lengths do not fit its segment or whose checksum fails is
+    never decoded: a torn tail is a miss until its writer completes it,
+    and a corrupt frame ends its segment's scan. Either way the result
+    is a recomputation, never an error.
 
     {!Replay} records live in a second store under the same root
     ({!replay_dir}), written and read through {!write_entry} and
@@ -61,8 +67,8 @@ val env_disk : unit -> disk option
 
 val create : ?disk:disk -> unit -> t
 (** [create ()] is purely in-memory; [create ~disk ()] also reads and
-    writes [disk.dir] (created on first write; stale-namespace entries
-    of both stores are pruned once per process, and when
+    writes [disk.dir] (created on first write; other builds' segments
+    in both stores are pruned once per process, and when
     [MP_CACHE_MAX_MB] is set the directory is {!gc}'d down to that
     bound once per process). *)
 
@@ -71,26 +77,27 @@ val replay_dir : string -> string
     ([root/replay]). *)
 
 val write_entry : disk -> string -> 'a -> unit
-(** Persist one value under [disk.dir/<shard>/<namespace>-<key>]:
-    written to a [.tmp.*] file in the shard and renamed into place, so
-    readers never see a partial entry. Best-effort: IO errors are
-    swallowed. *)
+(** Append one frame holding the value under the key to this process's
+    segment of [disk] (created on the first write). A later frame for
+    the same key supersedes earlier ones. Best-effort: IO errors are
+    swallowed, and a failed write starts a fresh segment next time. *)
 
 val read_entry : disk -> string -> 'a option
-(** The value {!write_entry} stored under the key, or [None] for a
-    missing, truncated, corrupt or wrong-version file. Unchecked like
-    [Marshal]: the caller must read the type that was written, which
-    is why each store keeps one type in its own directory. *)
+(** The value of the key's latest frame in [disk], or [None] when no
+    segment holds a whole frame for it whose header, key and checksum
+    agree. Unchecked like [Marshal] beyond that: the caller must read
+    the type that was written, which is why each store keeps one type
+    in its own directory. *)
 
 (** {2 Housekeeping}
 
     The directory otherwise grows without limit: the current build's
-    entries accumulate across runs, and every rebuild opens a fresh
+    segments accumulate across runs, and every rebuild opens a fresh
     namespace. *)
 
 type gc_stats = {
-  entries : int;      (** entry files examined (in-flight temps excluded) *)
-  removed : int;      (** entries deleted by this sweep *)
+  segments : int;     (** segment files examined *)
+  removed : int;      (** segments deleted by this sweep *)
   bytes_before : int;
   bytes_after : int;
 }
@@ -102,27 +109,26 @@ val env_max_bytes : unit -> int option
     [Invalid_argument]). *)
 
 val gc : ?max_bytes:int -> string -> gc_stats
-(** [gc dir] prunes entry files from a cache directory — measurement
-    entries and the replay store under it alike — oldest mtime first
-    (path breaks ties, so eviction order is deterministic), until the
-    total size is at most [max_bytes] (default {!env_max_bytes};
-    a no-op sweep when neither gives a bound). Entries still being
-    written — the [.tmp.*] files {!write_entry} renames into place —
-    are never touched, and a concurrently deleted entry is simply a
-    future cache miss, so running [gc] against a live cache is safe.
-    Best-effort: IO errors skip the file rather than raise. *)
+(** [gc dir] evicts whole segment files from a cache directory — the
+    measurement store and the replay store under it alike — oldest
+    mtime first (path breaks ties, so eviction order is deterministic),
+    until the total size is at most [max_bytes] (default
+    {!env_max_bytes}; a no-op sweep when neither gives a bound). A
+    live writer's segment is the most recently modified, so it goes
+    last; an evicted entry is simply a future cache miss, so running
+    [gc] against a live cache is safe. Best-effort: IO errors skip the
+    file rather than raise. *)
 
 type disk_stats = {
-  ds_shards : int;   (** two-hex-digit shard subdirectories present *)
-  ds_entries : int;  (** entry files, root plus shards (temps excluded) *)
-  ds_bytes : int;    (** total size of those entries *)
+  ds_segments : int;  (** segment files in the store *)
+  ds_entries : int;   (** distinct keys with a whole, checksummed frame *)
+  ds_bytes : int;     (** total size of the segments *)
 }
 
 val disk_stats : string -> disk_stats
 (** Read-only scan of one store — a cache root, or its {!replay_dir}
     — what [mp-cache stat] prints for each. A missing directory
-    reports all zeros; in-flight [.tmp.*] files are excluded, as
-    everywhere else. *)
+    reports all zeros. *)
 
 val persistent : t -> bool
 

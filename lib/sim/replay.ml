@@ -40,14 +40,20 @@ open Mp_codegen
 
 (* ----- stored data (pure, marshal-safe) ---------------------------------- *)
 
+(* A window's opcode activity, each distinct opcode name stored once:
+   [names] sorted (name order is rank order, {!Core_sim.name_ranks}),
+   [issues] aligned with it (0 for a name with no issue entry), and
+   [pairs] the transitions as flat (prev, next, count) triples of
+   indices into [names], ascending. *)
+type ops = { names : string array; issues : int array; pairs : int array }
+
 type snapshot = {
   s_measure : int;
   s_cycles : int;
   s_counters : int array array; (* per thread: raw_counters in order *)
-  s_op_issues : (string * int) list;
+  s_ops : ops;
   s_level_loads : int array;
   s_switch : int;
-  s_transitions : (string * string * int) list;
   s_prefetches : int;
 }
 
@@ -56,10 +62,9 @@ type period = {
   p_cycles : int;
   p_min_total : int;
   p_counters : int array array;
-  p_op_issues : (string * int) list;
+  p_ops : ops;
   p_level_loads : int array;
   p_switch : int;
-  p_transitions : (string * string * int) list;
   p_prefetches : int;
 }
 
@@ -149,28 +154,65 @@ let counters_to_ints (c : Measurement.counters) =
     [| c.instrs; c.dispatched; c.fxu; c.lsu; c.vsu; c.bru; c.st;
        c.l1; c.l2; c.l3; c.mem |]
 
-(* Records keep their name-keyed lists sorted by name (pairs by first,
-   then second name), so reifying merges base and period in one linear
-   walk. *)
-let compare_pair (a1, b1, _) (a2, b2, _) =
-  let c = String.compare a1 a2 in
-  if c <> 0 then c else String.compare b1 b2
-
-(* Name order is rank order ({!Core_sim.name_ranks}): sort on ints, then
-   name. *)
-let op_issues_by_name ~opmap ops =
+(* [issued] (id, non-zero count) and [trans] (prev id, next id, count)
+   as an [ops]: the L distinct ids sorted by rank once, then every
+   entry mapped to its index. *)
+let ops_of ~opmap issued trans =
   let rank = Core_sim.name_ranks opmap in
-  List.map
-    (fun (id, c) -> (Core_sim.opmap_name opmap id, c))
-    (List.sort (fun (a, _) (b, _) -> Int.compare rank.(a) rank.(b)) ops)
-
-let transitions_by_name ~opmap trans =
-  let rank = Core_sim.name_ranks opmap in
-  let key (a, b, _) = (rank.(a) * Array.length rank) + rank.(b) in
-  List.map
+  let slot = Array.make (Array.length rank) (-1) in
+  let ids = ref [] in
+  let note id =
+    if slot.(id) < 0 then begin
+      slot.(id) <- 0;
+      ids := id :: !ids
+    end
+  in
+  List.iter (fun (id, _) -> note id) issued;
+  List.iter (fun (a, b, _) -> note a; note b) trans;
+  let ids = Array.of_list !ids in
+  Array.sort (fun a b -> Int.compare rank.(a) rank.(b)) ids;
+  Array.iteri (fun i id -> slot.(id) <- i) ids;
+  let l = Array.length ids in
+  let issues = Array.make l 0 in
+  List.iter (fun (id, c) -> issues.(slot.(id)) <- c) issued;
+  (* pairs in (prev, next) index order: placed by prev index (a
+     counting sort over the list), then each prev index's run read back
+     in next index order through a table of the l next indices (a pair
+     occurs once per list) *)
+  let ends = Array.make (l + 1) 0 in
+  List.iter (fun (a, _, _) -> ends.(slot.(a) + 1) <- ends.(slot.(a) + 1) + 1) trans;
+  for a = 1 to l do
+    ends.(a) <- ends.(a) + ends.(a - 1)
+  done;
+  let pairs = Array.make (3 * ends.(l)) 0 in
+  List.iter
     (fun (a, b, c) ->
-      (Core_sim.opmap_name opmap a, Core_sim.opmap_name opmap b, c))
-    (List.sort (fun x y -> Int.compare (key x) (key y)) trans)
+      let j = ends.(slot.(a)) in
+      ends.(slot.(a)) <- j + 1;
+      pairs.(3 * j) <- slot.(a);
+      pairs.((3 * j) + 1) <- slot.(b);
+      pairs.((3 * j) + 2) <- c)
+    trans;
+  let seen = Array.make l (-1) and count = Array.make l 0 in
+  for a = 0 to l - 1 do
+    let lo = if a = 0 then 0 else ends.(a - 1) and hi = ends.(a) in
+    if hi - lo > 1 then begin
+      for j = lo to hi - 1 do
+        let b = pairs.((3 * j) + 1) in
+        seen.(b) <- a;
+        count.(b) <- pairs.((3 * j) + 2)
+      done;
+      let w = ref lo in
+      for b = 0 to l - 1 do
+        if seen.(b) = a then begin
+          pairs.((3 * !w) + 1) <- b;
+          pairs.((3 * !w) + 2) <- count.(b);
+          incr w
+        end
+      done
+    end
+  done;
+  { names = Array.map (Core_sim.opmap_name opmap) ids; issues; pairs }
 
 let snapshot_of_activity ~opmap ~measure (a : Core_sim.activity) =
   let issued = ref [] in
@@ -182,10 +224,9 @@ let snapshot_of_activity ~opmap ~measure (a : Core_sim.activity) =
     s_measure = measure;
     s_cycles = a.Core_sim.measured_cycles;
     s_counters = Array.map counters_to_ints a.Core_sim.threads;
-    s_op_issues = op_issues_by_name ~opmap !issued;
+    s_ops = ops_of ~opmap !issued a.Core_sim.transitions;
     s_level_loads = Array.copy a.Core_sim.level_loads;
     s_switch = a.Core_sim.switch_events;
-    s_transitions = transitions_by_name ~opmap a.Core_sim.transitions;
     s_prefetches = a.Core_sim.prefetches;
   }
 
@@ -195,92 +236,81 @@ let period_of_delta ~opmap (pd : Core_sim.period_delta) =
     p_cycles = pd.Core_sim.pd_cycles;
     p_min_total = pd.Core_sim.pd_min_total;
     p_counters = pd.Core_sim.pd_counters;
-    p_op_issues = op_issues_by_name ~opmap pd.Core_sim.pd_op_issues;
+    p_ops = ops_of ~opmap pd.Core_sim.pd_op_issues pd.Core_sim.pd_transitions;
     p_level_loads = pd.Core_sim.pd_level_loads;
     p_switch = pd.Core_sim.pd_switch;
-    p_transitions = transitions_by_name ~opmap pd.Core_sim.pd_transitions;
     p_prefetches = pd.Core_sim.pd_prefetches;
   }
 
-(* The sorted names of [base] and [step], each once, with
-   [base + k * step] counts: a linear merge of two name-sorted lists.
-   Zero sums are kept. *)
-let merge_ops k base step =
-  let n = List.length base + List.length step in
-  let names = Array.make n "" and counts = Array.make n 0 in
-  let len = ref 0 in
-  let emit name c =
-    names.(!len) <- name;
-    counts.(!len) <- c;
-    incr len
-  in
-  let rec go base step =
-    match (base, step) with
-    | [], [] -> ()
-    | (n1, c) :: bs, [] -> emit n1 c; go bs []
-    | [], (n2, d) :: ss -> emit n2 (k * d); go [] ss
-    | (n1, c) :: bs, (n2, d) :: ss ->
-      let o = String.compare n1 n2 in
-      if o = 0 then (emit n1 (c + (k * d)); go bs ss)
-      else if o < 0 then (emit n1 c; go bs step)
-      else (emit n2 (k * d); go base ss)
-  in
-  go base step;
-  (Array.sub names 0 !len, Array.sub counts 0 !len)
+let no_ops = { names = [||]; issues = [||]; pairs = [||] }
 
-(* The id of [name] among the sorted [names] (ids alongside), interned
-   when absent. *)
-let rec id_of opmap names ids name lo hi =
-  if lo >= hi then Core_sim.intern opmap name
-  else
-    let mid = (lo + hi) / 2 in
-    let c = String.compare names.(mid) name in
-    if c = 0 then ids.(mid)
-    else if c < 0 then id_of opmap names ids name (mid + 1) hi
-    else id_of opmap names ids name lo mid
-
-(* [base + k * step] over two (prev, next)-name-sorted pair lists,
-   zero sums dropped, as (prev id, next id, count) in ascending id
-   order: the merge writes ids and counts to arrays, and the order is
-   one int sort of (prev * n_ids + next) * n + position. *)
-let merge_pairs ~opmap ~names ~ids k base step =
-  let cap = List.length base + List.length step in
-  let prev = Array.make cap 0 and next = Array.make cap 0 in
-  let counts = Array.make cap 0 in
-  let len = ref 0 in
-  let id name = id_of opmap names ids name 0 (Array.length names) in
-  let emit a b c =
-    if c <> 0 then begin
-      prev.(!len) <- id a;
-      next.(!len) <- id b;
-      counts.(!len) <- c;
-      incr len
-    end
+(* [base + k * step] against [opmap]: op issues over every name with an
+   issue entry in either (zeros kept), the array spanning the largest
+   of their ids as a dense run's spans every interned one; transitions
+   with zero sums dropped. Each name is interned once (a step naming
+   the base's opcodes shares its ids) and every pair index maps through
+   an int array. Both pair lists are in name order, which is rank
+   order, so one linear merge on ranks sums them and lists the
+   transitions in name order ({!Power_sim} orders them itself). *)
+let reify_ops ~opmap k (base : ops) (step : ops) =
+  let bid = Array.map (Core_sim.intern opmap) base.names in
+  let sid =
+    if step.names = base.names then bid
+    else Array.map (Core_sim.intern opmap) step.names
   in
-  let rec go base step =
-    match (base, step) with
-    | [], [] -> ()
-    | (a, b, c) :: bs, [] -> emit a b c; go bs []
-    | [], (a, b, d) :: ss -> emit a b (k * d); go [] ss
-    | ((a1, b1, c) as x) :: bs, ((a2, b2, d) as y) :: ss ->
-      let o = compare_pair x y in
-      if o = 0 then (emit a1 b1 (c + (k * d)); go bs ss)
-      else if o < 0 then (emit a1 b1 c; go bs step)
-      else (emit a2 b2 (k * d); go base ss)
-  in
-  go base step;
-  let n = !len in
-  let n_ids = 1 + Array.fold_left max (Array.fold_left max 0 prev) next in
-  let keys =
-    Array.init n (fun i -> (((prev.(i) * n_ids) + next.(i)) * n) + i)
-  in
-  Array.sort (fun (x : int) y -> compare x y) keys;
-  let acc = ref [] in
-  for j = n - 1 downto 0 do
-    let i = keys.(j) mod n in
-    acc := (prev.(i), next.(i), counts.(i)) :: !acc
+  let top = ref 0 in
+  for i = 0 to Array.length bid - 1 do
+    if base.issues.(i) <> 0 then top := max !top bid.(i)
   done;
-  !acc
+  for i = 0 to Array.length sid - 1 do
+    if step.issues.(i) <> 0 then top := max !top sid.(i)
+  done;
+  let op_issues = Array.make (!top + 1) 0 in
+  for i = 0 to Array.length bid - 1 do
+    let c = base.issues.(i) in
+    if c <> 0 then op_issues.(bid.(i)) <- op_issues.(bid.(i)) + c
+  done;
+  for i = 0 to Array.length sid - 1 do
+    let c = step.issues.(i) in
+    if c <> 0 then op_issues.(sid.(i)) <- op_issues.(sid.(i)) + (k * c)
+  done;
+  let rank = Core_sim.name_ranks opmap in
+  let r = Array.length rank in
+  let key ids pairs j =
+    (rank.(ids.(pairs.(3 * j))) * r) + rank.(ids.(pairs.((3 * j) + 1)))
+  in
+  (* from the last pair down, prepending: ascending order; k = 0 adds
+     nothing *)
+  let transitions = ref [] in
+  let emit ids pairs j c =
+    if c <> 0 then
+      transitions :=
+        (ids.(pairs.(3 * j)), ids.(pairs.((3 * j) + 1)), c) :: !transitions
+  in
+  let i = ref ((Array.length base.pairs / 3) - 1) in
+  let j = ref (if k = 0 then -1 else (Array.length step.pairs / 3) - 1) in
+  while !i >= 0 || !j >= 0 do
+    let o =
+      if !i < 0 then -1
+      else if !j < 0 then 1
+      else compare (key bid base.pairs !i) (key sid step.pairs !j)
+    in
+    if o = 0 then begin
+      emit bid base.pairs !i
+        (base.pairs.((3 * !i) + 2) + (k * step.pairs.((3 * !j) + 2)));
+      decr i;
+      decr j
+    end
+    else if o > 0 then begin
+      emit bid base.pairs !i base.pairs.((3 * !i) + 2);
+      decr i
+    end
+    else begin
+      emit sid step.pairs !j (k * step.pairs.((3 * !j) + 2));
+      decr j
+    end
+  done;
+  (op_issues, !transitions)
 
 (* [base + k * period], reified against [opmap]. [k] may be negative
    (extrapolating down to a shorter window); every resulting counter
@@ -316,21 +346,9 @@ let reify ~opmap ~daf (b : snapshot) k (p : period option) =
         })
       b.s_counters
   in
-  (* every name of base or period, zeros included: the array spans the
-     largest of their ids, as a dense run's spans every interned one;
-     each distinct name is interned once *)
-  let step_ops, step_pairs, k' =
-    match p with
-    | None -> ([], [], 0)
-    | Some p -> (p.p_op_issues, p.p_transitions, k)
-  in
-  let names, counts = merge_ops k' b.s_op_issues step_ops in
-  let ids = Array.map (Core_sim.intern opmap) names in
-  let op_issues = Array.make (Array.fold_left max 0 ids + 1) 0 in
-  Array.iteri (fun i id -> op_issues.(id) <- counts.(i)) ids;
-  (* dropping zeros, as a dense run lists only live pairs *)
-  let transitions =
-    merge_pairs ~opmap ~names ~ids k' b.s_transitions step_pairs
+  let op_issues, transitions =
+    reify_ops ~opmap k b.s_ops
+      (match p with Some p -> p.p_ops | None -> no_ops)
   in
   let level_loads =
     Array.init 4 (fun i ->
@@ -443,19 +461,22 @@ let record t ~opmap ~measure key (activity : Core_sim.activity)
     Option.value ~default:{ bases = []; period = None }
       (Hashtbl.find_opt t.table key)
   in
-  let bases =
-    if List.exists (fun (x : snapshot) -> x.s_measure = measure) cur.bases
-    then cur.bases
-    else
-      let bs = b :: cur.bases in
-      if List.length bs > max_bases then
-        List.filteri (fun i _ -> i < max_bases) bs
-      else bs
+  let new_base =
+    not (List.exists (fun (x : snapshot) -> x.s_measure = measure) cur.bases)
   in
-  let period = match cur.period with Some _ -> cur.period | None -> p in
-  let merged = { bases; period } in
-  let changed = merged <> cur in
+  let new_period = cur.period = None && p <> None in
+  let changed = new_base || new_period in
+  let merged =
+    {
+      bases =
+        (if new_base then List.filteri (fun i _ -> i < max_bases) (b :: cur.bases)
+         else cur.bases);
+      period = (if new_period then p else cur.period);
+    }
+  in
   if changed then Hashtbl.replace t.table key merged;
   Mutex.unlock t.lock;
+  (* a record that gains a base or a period is appended again; the
+     store serves the latest frame *)
   if changed then
     Option.iter (fun disk -> Measurement_cache.write_entry disk key merged) t.disk

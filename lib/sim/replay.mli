@@ -9,9 +9,10 @@
     that delta; a later measurement of the same structural program —
     a different batch, a later bootstrap round, a GA re-evaluation, a
     different window length — is answered by [base + k·delta] without
-    simulating warmup-to-steady-state at all. Replayed activities are
-    bit-identical to dense simulation (asserted by the test suite and
-    the replay benchmark).
+    simulating warmup-to-steady-state at all. Replayed activities carry
+    the dense run's counts (transitions listed in opcode-name order),
+    so the measurements they yield are bit-identical to dense
+    simulation (asserted by the test suite and the replay benchmark).
 
     Records are keyed on the uarch fingerprint, SMT mode, warmup,
     effective memory latency, and each per-thread program's name-free
@@ -19,18 +20,20 @@
     randomness (memory address streams) additionally fold the RNG
     inputs via [salt]. The measured window is deliberately {e not}
     part of the key — one record serves every admissible window
-    through the period step. Counters are stored by opcode name, so a
-    record reifies bit-identically against any machine's intern table
+    through the period step. Counters are stored by opcode name — each
+    snapshot and period names each distinct opcode once, and its issue
+    counts and transition pairs index into those names — so a record
+    reifies bit-identically against any machine's intern table
     ({!Power_sim} sums energies in name order).
 
     Records persist through the measurement cache's own entry
     functions ({!Measurement_cache.write_entry}) into its replay store
-    ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same 2-hex-digit
-    sharding, same binary-stamped namespace), so warm runs skip even
-    their first-period simulation, and the cache's housekeeping covers
-    them: stale-build records are pruned when a cache is created, and
-    {!Measurement_cache.gc} and [MP_CACHE_MAX_MB] bound them together
-    with the measurements. *)
+    ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same append-only
+    segments of checksummed frames, same binary-stamped namespace), so
+    warm runs skip even their first-period simulation, and the cache's
+    housekeeping covers them: stale-build records are pruned when a
+    cache is created, and {!Measurement_cache.gc} and
+    [MP_CACHE_MAX_MB] bound them together with the measurements. *)
 
 type t
 
@@ -94,7 +97,9 @@ val record :
     period, the per-period delta) under the key. Merging keeps one
     base per distinct window (bounded) and the first period delta;
     concurrent writers store identical data, so first-writer-wins is
-    safe. Persisted when the table has a disk directory. *)
+    safe. Persisted when the table has a disk directory: a record that
+    gains a base or a period is appended again, and the store serves
+    the latest frame. *)
 
 val hits : unit -> int
 (** Process-wide count of measurements served from replay records.

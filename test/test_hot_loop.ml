@@ -581,11 +581,11 @@ let test_power_sample_alloc () =
     true
     (per_sample <= max_sample_words)
 
-(* A replay hit merges the base and k periods of name-sorted lists and
-   interns each distinct name once: its words are the reified activity
-   and the merge's arrays. Hits at the recorded window (k = 0) and at a
-   window two periods longer. *)
-let max_find_words = 1_960.0
+(* A replay hit interns each distinct name once and merges the base's
+   and k periods' index-coded pairs in one pass: its words are the
+   reified activity and the name-to-id arrays. Hits at the recorded
+   window (k = 0) and at a window two periods longer. *)
+let max_find_words = 1_110.0
 
 let test_replay_find_alloc () =
   let a = arch () in

@@ -511,13 +511,15 @@ let test_disk_cache_corrupt_skipped () =
         s.Measurement_cache.disk_hits;
       Alcotest.(check int) "recomputed once" 1 s.Measurement_cache.misses)
 
-let rec no_tmp_left d =
-  Array.for_all
-    (fun f ->
-      let path = Filename.concat d f in
-      if Sys.is_directory path then no_tmp_left path
-      else not (String.length f >= 5 && String.sub f 0 5 = ".tmp."))
-    (Sys.readdir d)
+(* The regular files of a store's root: its segments. *)
+let segment_files d =
+  Array.to_list (Sys.readdir d)
+  |> List.filter (fun f -> not (Sys.is_directory (Filename.concat d f)))
+
+(* A second store on the same directory, as another process would open
+   it: its first lookup scans the segments from disk. *)
+let as_other_process (disk : Measurement_cache.disk) =
+  { disk with Measurement_cache.dir = Filename.concat disk.Measurement_cache.dir "." }
 
 let test_disk_cache_concurrent_writers () =
   let a = arch () in
@@ -529,9 +531,9 @@ let test_disk_cache_concurrent_writers () =
     { Measurement_cache.dir; namespace = Measurement_cache.namespace () }
   in
   let key i = Printf.sprintf "ab%06dcafe" (i mod 4) in
-  (* two independent tables race tmp+rename writes of the same keys
-     into the same directory — concurrent writers of one key store
-     identical bytes, so whichever rename lands last wins harmlessly *)
+  (* two independent tables race appends of the same keys into the
+     process's one segment — concurrent writers of one key store
+     identical bytes, so whichever frame lands last wins harmlessly *)
   let writer () =
     let t = Measurement_cache.create ~disk () in
     for i = 0 to 39 do
@@ -541,19 +543,22 @@ let test_disk_cache_concurrent_writers () =
   let d1 = Domain.spawn writer and d2 = Domain.spawn writer in
   Domain.join d1;
   Domain.join d2;
-  let r = Measurement_cache.create ~disk () in
-  for i = 0 to 3 do
-    match Measurement_cache.find r (key i) with
-    | Some got ->
-      Alcotest.(check bool) "raced entry bit-identical" true
-        (compare got m = 0)
-    | None -> Alcotest.fail "concurrently written entry missing"
-  done;
-  Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir);
+  List.iter
+    (fun disk ->
+      let r = Measurement_cache.create ~disk () in
+      for i = 0 to 3 do
+        match Measurement_cache.find r (key i) with
+        | Some got ->
+          Alcotest.(check bool) "raced entry bit-identical" true
+            (compare got m = 0)
+        | None -> Alcotest.fail "concurrently written entry missing"
+      done)
+    [ disk; as_other_process disk ];
+  Alcotest.(check int) "one segment for both writers" 1
+    (List.length (segment_files dir));
   let s = Measurement_cache.disk_stats dir in
-  Alcotest.(check int) "one entry per key" 4 s.Measurement_cache.ds_entries;
-  Alcotest.(check bool) "sharded layout" true
-    (s.Measurement_cache.ds_shards >= 1)
+  Alcotest.(check int) "one live entry per key" 4 s.Measurement_cache.ds_entries;
+  Alcotest.(check int) "segments counted" 1 s.Measurement_cache.ds_segments
 
 let test_replay_store_concurrent_writers () =
   let a = arch () in
@@ -592,13 +597,20 @@ let test_replay_store_concurrent_writers () =
     | Some a -> a
     | None -> Alcotest.fail "reference table did not serve its own record"
   in
-  let t = Replay.create ~disk_dir:dir () in
-  (match Replay.find t ~opmap ~daf ~warmup:1 ~measure:4 key with
-   | Some got ->
-     Alcotest.(check bool) "raced store serves the uncontended record" true
-       (compare got expect = 0)
-   | None -> Alcotest.fail "record not served from the replay store");
-  Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
+  (* read back through the writers' store and through a fresh scan *)
+  List.iter
+    (fun disk_dir ->
+      let t = Replay.create ~disk_dir () in
+      match Replay.find t ~opmap ~daf ~warmup:1 ~measure:4 key with
+      | Some got ->
+        Alcotest.(check bool) "raced store serves the uncontended record"
+          true
+          (compare got expect = 0)
+      | None -> Alcotest.fail "record not served from the replay store")
+    [ dir; Filename.concat dir "." ];
+  let s = Measurement_cache.disk_stats dir in
+  Alcotest.(check int) "one segment" 1 s.Measurement_cache.ds_segments;
+  Alcotest.(check int) "one live record" 1 s.Measurement_cache.ds_entries
 
 let test_replay_store_housekeeping () =
   with_cache_dir (fresh_dir "replaygc") (fun () ->
@@ -622,27 +634,38 @@ let test_replay_store_housekeeping () =
       in
       Replay.record (Replay.create ~disk_dir:rdir ()) ~opmap ~measure:4 key
         activity pd;
-      (* ... and one stale file per store, as another build left them *)
-      let stale store =
-        let shard = Filename.concat store "ab" in
-        (try Unix.mkdir shard 0o755 with Unix.Unix_error _ -> ());
-        let path = Filename.concat shard "v0-stale-ab00" in
+      (* ... and, per store, another build's segment and a file the v3
+         layout left in a shard directory *)
+      let write path =
         let oc = open_out_bin path in
         output_string oc "stale";
         close_out oc;
         path
       in
-      let stale_entry = stale dir and stale_record = stale rdir in
+      let stale store =
+        let shard = Filename.concat store "ab" in
+        (try Unix.mkdir shard 0o755 with Unix.Unix_error _ -> ());
+        ( write (Filename.concat store "v0-stale-1-1"),
+          write (Filename.concat shard "v3-stale-ab00"),
+          shard )
+      in
+      let stale_segment, stale_entry, stale_shard = stale dir in
+      let stale_rsegment, stale_record, stale_rshard = stale rdir in
       ignore (Machine.create u);
-      Alcotest.(check bool) "stale cache entry pruned" false
-        (Sys.file_exists stale_entry);
-      Alcotest.(check bool) "stale replay record pruned" false
-        (Sys.file_exists stale_record);
+      List.iter
+        (fun (what, path) ->
+          Alcotest.(check bool) (what ^ " pruned") false (Sys.file_exists path))
+        [ ("stale cache segment", stale_segment);
+          ("v3 cache entry", stale_entry);
+          ("empty v3 cache shard", stale_shard);
+          ("stale replay segment", stale_rsegment);
+          ("v3 replay record", stale_record);
+          ("empty v3 replay shard", stale_rshard) ];
       Alcotest.(check int) "current replay record kept" 1
         (Measurement_cache.disk_stats rdir).Measurement_cache.ds_entries;
       let s = Measurement_cache.gc ~max_bytes:0 dir in
-      Alcotest.(check int) "gc sees the replay record" 1
-        s.Measurement_cache.entries;
+      Alcotest.(check int) "gc sees the replay segment" 1
+        s.Measurement_cache.segments;
       Alcotest.(check int) "gc removes it" 1 s.Measurement_cache.removed;
       Alcotest.(check int) "replay store empty" 0
         (Measurement_cache.disk_stats rdir).Measurement_cache.ds_entries)
@@ -741,8 +764,9 @@ let test_single_flight () =
 
 let test_cache_gc () =
   let dir = fresh_dir "gc" in
+  let rdir = Measurement_cache.replay_dir dir in
   (try Unix.mkdir dir 0o755 with _ -> ());
-  (try Unix.mkdir (Filename.concat dir "ab") 0o755 with _ -> ());
+  (try Unix.mkdir rdir 0o755 with _ -> ());
   let write name bytes mtime =
     let path = Filename.concat dir name in
     let oc = open_out_bin path in
@@ -751,37 +775,33 @@ let test_cache_gc () =
     Unix.utimes path mtime mtime
   in
   let t0 = Unix.gettimeofday () -. 1000.0 in
-  (* five 1000-byte entries, oldest first — one inside a shard
-     subdirectory, which the sweep must walk — plus an in-flight temp *)
-  write "entry-a" 1000 t0;
-  write "entry-b" 1000 (t0 +. 10.0);
-  write (Filename.concat "ab" "entry-e") 1000 (t0 +. 15.0);
-  write "entry-c" 1000 (t0 +. 20.0);
-  write "entry-d" 1000 (t0 +. 30.0);
-  write ".tmp.999.0" 1000 t0;
+  (* five 1000-byte segments, oldest first — one in the replay store,
+     which the sweep must walk too *)
+  write "v4-a-1-1" 1000 t0;
+  write "v4-a-2-1" 1000 (t0 +. 10.0);
+  write (Filename.concat "replay" "v4-a-3-1") 1000 (t0 +. 15.0);
+  write "v4-a-4-1" 1000 (t0 +. 20.0);
+  write "v4-a-5-1" 1000 (t0 +. 30.0);
   let s = Measurement_cache.gc ~max_bytes:2500 dir in
-  (* three oldest entries go — flat root and shard alike; the temp is
-     invisible to the sweep *)
-  Alcotest.(check int) "entries examined" 5 s.Measurement_cache.entries;
+  (* the three oldest segments go, whole, from either store *)
+  Alcotest.(check int) "segments examined" 5 s.Measurement_cache.segments;
   Alcotest.(check int) "removed oldest three" 3 s.Measurement_cache.removed;
   Alcotest.(check int) "bytes before" 5000 s.Measurement_cache.bytes_before;
   Alcotest.(check int) "bytes after" 2000 s.Measurement_cache.bytes_after;
   Alcotest.(check bool) "oldest gone" false
-    (Sys.file_exists (Filename.concat dir "entry-a"));
+    (Sys.file_exists (Filename.concat dir "v4-a-1-1"));
   Alcotest.(check bool) "second oldest gone" false
-    (Sys.file_exists (Filename.concat dir "entry-b"));
-  Alcotest.(check bool) "sharded entry evicted too" false
-    (Sys.file_exists (Filename.concat dir (Filename.concat "ab" "entry-e")));
+    (Sys.file_exists (Filename.concat dir "v4-a-2-1"));
+  Alcotest.(check bool) "replay segment evicted too" false
+    (Sys.file_exists (Filename.concat rdir "v4-a-3-1"));
   Alcotest.(check bool) "newest kept" true
-    (Sys.file_exists (Filename.concat dir "entry-d"));
-  Alcotest.(check bool) "in-flight temp never touched" true
-    (Sys.file_exists (Filename.concat dir ".tmp.999.0"));
+    (Sys.file_exists (Filename.concat dir "v4-a-5-1"));
   (* already under the bound: a second sweep removes nothing *)
   let s2 = Measurement_cache.gc ~max_bytes:2500 dir in
   Alcotest.(check int) "idempotent" 0 s2.Measurement_cache.removed;
   (* missing directory is an empty sweep, not an error *)
   let s3 = Measurement_cache.gc ~max_bytes:1 (dir ^ "-nonexistent") in
-  Alcotest.(check int) "missing dir" 0 s3.Measurement_cache.entries
+  Alcotest.(check int) "missing dir" 0 s3.Measurement_cache.segments
 
 let test_cache_gc_env () =
   Unix.putenv "MP_CACHE_MAX_MB" "2";
@@ -1051,43 +1071,42 @@ let test_hetero_batch_dedup_scatter () =
         true (compare p d = 0))
     (List.combine plain deduped)
 
-let test_disk_cache_shard_layout () =
-  with_cache_dir (fresh_dir "shard") (fun () ->
+let test_disk_cache_segment_layout () =
+  with_cache_dir (fresh_dir "segment") (fun () ->
       let a = arch () in
-      let p = mono a "mulld" in
       let c = config a ~cores:1 ~smt:1 in
       let m1 = Machine.create a.Arch.uarch in
-      ignore (Machine.run m1 c p);
-      let dir = Sys.getenv "MP_CACHE_DIR" in
-      let is_hex2 f =
-        String.length f = 2
-        && String.for_all
-             (fun ch -> (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f'))
-             f
+      let runs =
+        List.map (fun i -> Machine.run m1 c (mono a i)) [ "mulld"; "add"; "subf" ]
       in
-      (* every entry lives in a two-hex-digit shard subdirectory whose
-         name prefixes the key (the suffix of the entry file name) *)
-      let entries = ref [] in
+      let dir = Sys.getenv "MP_CACHE_DIR" in
+      let ns = Measurement_cache.namespace () in
+      (* the root holds one segment, [<namespace>-<pid>-<nonce>], and no
+         subdirectory but the replay store *)
       Array.iter
         (fun f ->
-          let path = Filename.concat dir f in
-          if Sys.is_directory path then begin
-            Alcotest.(check bool) ("shard dir name " ^ f) true (is_hex2 f);
-            Array.iter
-              (fun e ->
-                (* entry name is <namespace>-<key>; the key (either
-                   derivation's) is the hex run after the last dash *)
-                let i = String.rindex e '-' in
-                let key = String.sub e (i + 1) (String.length e - i - 1) in
-                Alcotest.(check string) "entry in its key's shard" f
-                  (String.sub key 0 2);
-                entries := (f, e) :: !entries)
-              (Sys.readdir path)
-          end
-          else Alcotest.fail ("flat entry in a sharded cache root: " ^ f))
+          if Sys.is_directory (Filename.concat dir f) then
+            Alcotest.(check string) "only the replay store is a directory"
+              "replay" f)
         (Sys.readdir dir);
-      Alcotest.(check bool) "at least one entry written" true
-        (!entries <> []))
+      (match segment_files dir with
+       | [ f ] ->
+         let prefix = Printf.sprintf "%s-%d-" ns (Unix.getpid ()) in
+         Alcotest.(check string) "segment named by namespace and pid" prefix
+           (String.sub f 0 (min (String.length f) (String.length prefix)))
+       | fs ->
+         Alcotest.failf "expected one segment, found %d" (List.length fs));
+      (* a fresh scan serves every entry from its frame *)
+      with_cache_dir (Filename.concat dir ".") (fun () ->
+          let m2 = Machine.create a.Arch.uarch in
+          List.iter2
+            (fun i r ->
+              Alcotest.(check bool) (i ^ " served bit-identical") true
+                (compare r (Machine.run m2 c (mono a i)) = 0))
+            [ "mulld"; "add"; "subf" ] runs;
+          let s = cache_stats m2 in
+          Alcotest.(check int) "all from disk" 3 s.Measurement_cache.disk_hits;
+          Alcotest.(check int) "no simulation ran" 0 s.Measurement_cache.misses))
 
 (* ----- exact period skipping ------------------------------------------------ *)
 
@@ -1559,7 +1578,7 @@ let () =
          Alcotest.test_case "MP_CACHE_MAX_MB" `Quick test_cache_gc_env;
          Alcotest.test_case "malformed MP_CACHE rejected" `Quick
            test_cache_flag_rejected;
-         Alcotest.test_case "shard layout" `Quick test_disk_cache_shard_layout;
+         Alcotest.test_case "segment layout" `Quick test_disk_cache_segment_layout;
          Alcotest.test_case "replay store pruned and gc'd" `Quick
            test_replay_store_housekeeping ]);
       ("structural keys",
