@@ -342,9 +342,10 @@ let read_fd seg =
      | fd ->
        seg.fd <- Some fd;
        seg.fd
-     | exception Unix.Unix_error _ ->
+     | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
        seg.bad <- true;
-       None)
+       None
+     | exception Unix.Unix_error _ -> None)
 
 (* Index whatever another process appended to [seg] since its last
    scan. *)
