@@ -105,8 +105,7 @@ let lap machine pool jobs =
    show the oversubscription plateau, not hide it. *)
 let scaling_workers = [ 1; 2; 4; 8 ]
 
-let write_scaling_json ~quick ~jobs ~procpool ~netpool ~sched_skew ~stride
-    entries =
+let write_scaling_json ~quick ~jobs ~procpool ~sched_skew ~stride entries =
   let path = "BENCH_scaling.json" in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -151,18 +150,6 @@ let write_scaling_json ~quick ~jobs ~procpool ~netpool ~sched_skew ~stride
          w d seconds
          (if i = List.length combos - 1 then "" else ","))
      combos;
-   out "    ]\n";
-   out "  },\n");
-  (let nentries, recovered, dispatched = netpool in
-   out "  \"netpool\": {\n";
-   out "    \"dispatched\": %b,\n" dispatched;
-   out "    \"jobs_recovered\": %d,\n" recovered;
-   out "    \"entries\": [\n";
-   List.iteri
-     (fun i (w, seconds) ->
-       out "      { \"remote_workers\": %d, \"seconds\": %.6f }%s\n" w seconds
-         (if i = List.length nentries - 1 then "" else ","))
-     nentries;
    out "    ]\n";
    out "  },\n");
   (let skew_jobs, t_dynamic, fanned = sched_skew in
@@ -278,85 +265,6 @@ let procpool_curve (ctx : Context.t) machine jobs =
        else "single detected core");
   (entries, speedup, fanned)
 
-(* ----- loopback net-pool smoke ------------------------------------------- *)
-
-(* The socket transport over the same batch: a persistent worker is
-   spawned on a loopback TCP port (`microprobe worker --listen` in
-   self-exec form) and the batch runs once in-process (0 remote
-   workers) and once against the remote peer only (1 remote worker),
-   every lap checked bit-identical against the in-process reference.
-   This is a wire-path smoke, not a scaling claim — both ends share
-   the same machine — so the gates are bit-identity and zero
-   recoveries over a healthy peer, with the laps recorded to the
-   `netpool` section of BENCH_scaling.json. *)
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false)
-
-let netpool_curve (ctx : Context.t) machine jobs =
-  Context.section "Remote fan-out smoke — loopback TCP worker";
-  let reference = Machine.run_batch ~procs:0 machine jobs in
-  let t0 = Unix.gettimeofday () in
-  let local = Machine.run_batch ~procs:0 machine jobs in
-  let t_local = Unix.gettimeofday () -. t0 in
-  if compare reference local <> 0 then
-    failwith "netpool smoke: in-process laps diverge from each other";
-  let port = free_port () in
-  let pid = Shard_exec.spawn_worker ~port () in
-  let rec0 = Machine.jobs_recovered () in
-  let nf0 = Mp_util.Workerpool.frames_sent () in
-  let t_remote =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid))
-      (fun () ->
-        let sp = Shard_exec.create_pool ~hosts:[ ("127.0.0.1", port) ] 0 in
-        Fun.protect
-          ~finally:(fun () -> Shard_exec.shutdown_pool sp)
-          (fun () ->
-            (* prime lap: establishes the connection and warms the
-               worker's machine outside the timed window *)
-            let prime = Machine.run_batch ~shard_pool:sp machine jobs in
-            let t0 = Unix.gettimeofday () in
-            let r = Machine.run_batch ~shard_pool:sp machine jobs in
-            let dt = Unix.gettimeofday () -. t0 in
-            if compare reference prime <> 0 || compare reference r <> 0 then
-              failwith
-                "netpool smoke: remote results diverge from in-process \
-                 execution";
-            dt))
-  in
-  let recovered = Machine.jobs_recovered () - rec0 in
-  let dispatched = Mp_util.Workerpool.frames_sent () > nf0 in
-  Context.record_metric ctx "netpool_local_seconds" t_local;
-  Context.record_metric ctx "netpool_remote_seconds" t_remote;
-  Context.record_metric ctx "netpool_dispatched" (if dispatched then 1. else 0.);
-  Context.record_metric ctx "netpool_jobs_recovered_delta"
-    (float_of_int recovered);
-  Context.log
-    "in-process %.2fs, loopback remote worker %.2fs; %d jobs recovered;\n\
-     all laps bit-identical to in-process execution"
-    t_local t_remote recovered;
-  (* CI gate: over a healthy loopback peer nothing may need recovering
-     — a nonzero delta means the socket transport dropped a live
-     connection mid-batch. Stands down only if the dispatch never
-     reached the wire (adaptive fallback on a tiny batch). *)
-  if dispatched && recovered > 0 then
-    failwith
-      (Printf.sprintf
-         "netpool smoke: %d jobs recovered over a healthy loopback worker"
-         recovered);
-  if not dispatched then
-    Context.log "recovery gate skipped (dispatch stayed in-process)";
-  ([ (0, t_local); (1, t_remote) ], recovered, dispatched)
-
 (* ----- scheduling skew --------------------------------------------------- *)
 
 (* A deliberately skewed batch: one heavy program measured under many
@@ -364,12 +272,11 @@ let netpool_curve (ctx : Context.t) machine jobs =
    job lands on the same slot — plus light programs that spread over
    the rest of the pool. The work-conserving scheduler drains the
    heavy slot's chunks onto its idle siblings; the lap is timed and
-   checked bit-identical to in-process execution. The pool mixes both
-   transports — 2 subprocess workers plus 1 loopback TCP worker — each
-   restricted to a single domain so the skew is carried by the
-   scheduling layer, not washed out by intra-worker parallelism;
-   period skipping is off so the heavy jobs genuinely cost what their
-   loop size says. *)
+   checked bit-identical to in-process execution. The pool has three
+   subprocess workers, each restricted to a single domain so the skew
+   is carried by the scheduling layer, not washed out by intra-worker
+   parallelism; period skipping is off so the heavy jobs genuinely
+   cost what their loop size says. *)
 let sched_skew_curve (ctx : Context.t) =
   Context.section "Scheduling skew — work-conserving shard scheduler";
   let arch = ctx.Context.arch in
@@ -404,9 +311,9 @@ let sched_skew_curve (ctx : Context.t) =
   in
   Context.log
     "%d jobs: %d heavy (one program x %d configurations, all on slot %d)\n\
-     + %d light; 2 proc workers + 1 loopback TCP worker, 1 domain each"
+     + %d light; %d proc workers, 1 domain each"
     (List.length jobs) (List.length heavy_configs) (List.length heavy_configs)
-    heavy_slot (List.length lights);
+    heavy_slot (List.length lights) slots;
   let machine = Machine.create ~cache:false ~replay:false arch.Arch.uarch in
   (* a widened dense window makes each heavy job cost tens of
      milliseconds, so the skew dominates per-chunk framing overhead
@@ -415,53 +322,30 @@ let sched_skew_curve (ctx : Context.t) =
   let reference =
     Machine.run_batch ~measure ~period:false ~procs:0 machine jobs
   in
-  (* speculation off for the timed laps: the section times
-     work-conserving dispatch, and tail re-dispatch would leave
-     duplicate frames to drain at batch end — timer noise, and covered
-     by its own test *)
-  let speculate0 =
-    match Sys.getenv_opt "MP_SPECULATE" with Some s -> s | None -> ""
-  in
-  Unix.putenv "MP_SPECULATE" "off";
-  let port = free_port () in
-  let pid =
-    Shard_exec.spawn_worker ~env:[ ("MP_POOL_SIZE", "1") ] ~port ()
-  in
   let rec0 = Machine.jobs_recovered () in
   let sent0 = Mp_util.Workerpool.frames_sent () in
+  let sp = Shard_exec.create_pool ~env:[ ("MP_POOL_SIZE", "1") ] slots in
   let t_dynamic =
     Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "MP_SPECULATE" speculate0;
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid))
+      ~finally:(fun () -> Shard_exec.shutdown_pool sp)
       (fun () ->
-        let sp =
-          Shard_exec.create_pool
-            ~env:[ ("MP_POOL_SIZE", "1") ]
-            ~hosts:[ ("127.0.0.1", port) ]
-            2
+        let lap () =
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Machine.run_batch ~measure ~period:false ~shard_pool:sp machine
+              jobs
+          in
+          (r, Unix.gettimeofday () -. t0)
         in
-        Fun.protect
-          ~finally:(fun () -> Shard_exec.shutdown_pool sp)
-          (fun () ->
-            let lap () =
-              let t0 = Unix.gettimeofday () in
-              let r =
-                Machine.run_batch ~measure ~period:false ~shard_pool:sp
-                  machine jobs
-              in
-              (r, Unix.gettimeofday () -. t0)
-            in
-            (* prime lap: spawns/connects the workers and warms their
-               machines outside the timed window *)
-            let prime, _ = lap () in
-            let r_dynamic, t_dynamic = lap () in
-            if compare reference prime <> 0 || compare reference r_dynamic <> 0
-            then
-              failwith
-                "sched skew: sharded results diverge from in-process execution";
-            t_dynamic))
+        (* prime lap: spawns the workers and warms their machines
+           outside the timed window *)
+        let prime, _ = lap () in
+        let r_dynamic, t_dynamic = lap () in
+        if compare reference prime <> 0 || compare reference r_dynamic <> 0
+        then
+          failwith
+            "sched skew: sharded results diverge from in-process execution";
+        t_dynamic)
   in
   let recovered = Machine.jobs_recovered () - rec0 in
   let dispatched = Mp_util.Workerpool.frames_sent () > sent0 in
@@ -546,10 +430,9 @@ let scaling_curve (ctx : Context.t) =
         (if w = 1 then "" else "s") t s)
     curve;
   let procpool = procpool_curve ctx machine jobs in
-  let netpool = netpool_curve ctx machine jobs in
   let sched_skew = sched_skew_curve ctx in
   write_scaling_json ~quick:ctx.Context.quick ~jobs:(List.length jobs)
-    ~procpool ~netpool ~sched_skew ~stride:ctx.Context.membench_stride curve
+    ~procpool ~sched_skew ~stride:ctx.Context.membench_stride curve
 
 (* ----- parbench ---------------------------------------------------------- *)
 

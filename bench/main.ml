@@ -49,9 +49,8 @@ let write_bench_json ~path ~quick ~total (ctx : Context.t) timings =
     timings;
   out "  ],\n";
   (* per-slot scheduling telemetry: where dynamically-scheduled chunks
-     actually ran, how often speculation fired, and each slot's busy
-     fraction — labels are strings, so this is its own array section
-     rather than a flat metric *)
+     actually ran and each slot's busy fraction — labels are strings,
+     so this is its own array section rather than a flat metric *)
   out "  \"shard_slot_stats\": [\n";
   let slot_stats = Microprobe.Shard_exec.slot_stats () in
   List.iteri
@@ -63,12 +62,10 @@ let write_bench_json ~path ~quick ~total (ctx : Context.t) timings =
         else Float.nan
       in
       out
-        "    { \"slot\": %S, \"jobs\": %d, \"chunks\": %d, \"speculated\": \
-         %d, \"cancelled\": %d, \"busy_s\": %s, \"busy_fraction\": %s }%s\n"
+        "    { \"slot\": %S, \"jobs\": %d, \"chunks\": %d, \"busy_s\": %s, \
+         \"busy_fraction\": %s }%s\n"
         label s.Microprobe.Shard_exec.sl_jobs
         s.Microprobe.Shard_exec.sl_chunks
-        s.Microprobe.Shard_exec.sl_speculated
-        s.Microprobe.Shard_exec.sl_cancelled
         (json_f s.Microprobe.Shard_exec.sl_busy_s)
         (json_f busy_frac)
         (if i = List.length slot_stats - 1 then "" else ","))
@@ -194,10 +191,9 @@ let () =
     Context.record_metric ctx "key_digest_seconds"
       (Microprobe.Measurement_cache.key_seconds ());
     (* process-level sharding telemetry: the MP_PROCS knob as resolved,
-       the shared pool's local and remote slots, frames and bytes over
-       every worker slot (subprocess or TCP peer), and the
-       crash-recovery counters — respawns plus reconnects, and jobs
-       re-run in-process (both zero in a healthy run) *)
+       the shared pool's slots, frames and bytes over every worker
+       slot, and the crash-recovery counters — respawns, and jobs re-run
+       in-process (both zero in a healthy run) *)
     Context.record_metric ctx "procs_requested"
       (float_of_int (Microprobe.Shard_exec.env_procs ()));
     Context.record_metric ctx "procs_effective"
@@ -212,15 +208,6 @@ let () =
       (float_of_int (Mp_util.Workerpool.frames_received ()));
     Context.record_metric ctx "worker_bytes"
       (float_of_int (Mp_util.Workerpool.bytes_transferred ()));
-    Context.record_metric ctx "hosts_effective"
-      (float_of_int (Microprobe.Shard_exec.global_remote_size ()));
-    (* shard scheduling: duplicate chunk copies dispatched to idle
-       slots, and completions discarded because a sibling's copy won
-       (both zero under MP_SPECULATE=off) *)
-    Context.record_metric ctx "chunks_speculated"
-      (float_of_int (Microprobe.Shard_exec.chunks_speculated ()));
-    Context.record_metric ctx "chunks_cancelled"
-      (float_of_int (Microprobe.Shard_exec.chunks_cancelled ()));
     (* how many segment files the on-disk replay store holds — the same
        figure `mp-cache stat --json` reports *)
     (let dir =

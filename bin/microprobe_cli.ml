@@ -7,7 +7,6 @@
      measure     synthesize, deploy and measure a micro-benchmark
      bootstrap   derive latency/throughput/units/EPI for instructions
      stressmark  run a compact max-power search
-     worker      serve as a persistent remote measurement worker (TCP)
      mp-cache    disk measurement-cache housekeeping (gc, stat)
      mem-stat    per-level histogram of the last membench run
 *)
@@ -297,43 +296,6 @@ let stressmark_cmd =
   Cmd.v (Cmd.info "stressmark" ~doc:"Run a compact max-power search")
     Term.(const stressmark $ subsample)
 
-(* ----- worker -------------------------------------------------------------------- *)
-
-(* A persistent remote worker: coordinators with MP_HOSTS pointing here
-   shard measurement batches onto this process over TCP. The serve loop
-   returns on SIGTERM/SIGINT after finishing any in-flight request, so
-   a supervisor restart never loses a coordinator's job (the
-   coordinator re-runs whatever a hard kill drops anyway). *)
-let worker listen =
-  match Util.Env.host_port (String.trim listen) with
-  | Some (host, port) ->
-    Printf.eprintf "microprobe worker: listening on %s:%d\n" host port;
-    Printf.eprintf "namespace: %s\n%!" (Measurement_cache.namespace ());
-    Shard_exec.serve ~host ~port ();
-    prerr_endline "microprobe worker: drained, exiting";
-    0
-  | None ->
-    prerr_endline "worker: --listen must be HOST:PORT";
-    2
-
-let worker_cmd =
-  let listen_t =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Bind address. Coordinators list it in $(b,MP_HOSTS); both \
-             ends must run the identical binary (enforced by the \
-             namespace handshake on connect).")
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Serve as a persistent remote measurement worker until \
-          SIGTERM/SIGINT (in-flight requests finish first)")
-    Term.(const worker $ listen_t)
-
 (* ----- mp-cache ------------------------------------------------------------------ *)
 
 let mib = 1024.0 *. 1024.0
@@ -591,18 +553,17 @@ let mem_stat_cmd =
 (* ----- main ------------------------------------------------------------------------- *)
 
 let () =
-  (* process-wide: a peer (coordinator, worker, or a pager on stdout)
+  (* process-wide: a peer (a shard worker, or a pager on stdout)
      closing its end mid-write must surface as EPIPE on that write, not
-     kill the process — the worker/coordinator socket paths depend on
-     it, and the pool constructors only cover processes that build
-     pools *)
+     kill the process — the coordinator's socket paths depend on it,
+     and the pool constructors only cover processes that build pools *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   let doc = "automated micro-benchmark generation for energy characterization" in
   let info = Cmd.info "microprobe" ~version ~doc in
   let group =
     Cmd.group info
       [ list_isa_cmd; isa_text_cmd; generate_cmd; measure_cmd; bootstrap_cmd;
-        stressmark_cmd; worker_cmd; cache_cmd; mem_stat_cmd ]
+        stressmark_cmd; cache_cmd; mem_stat_cmd ]
   in
   let code = Cmd.eval' group in
   (* join worker domains and shard subprocesses deterministically on

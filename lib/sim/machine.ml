@@ -324,12 +324,12 @@ let jobs_recovered () = Atomic.get jobs_recovered_total
    coordinator's own domain pool — and [jobs_recovered] counts them. A
    dying worker degrades to a slower batch, never a failed or wrong
    one. *)
-let sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
-    ~in_process jobs =
+let sharded_exec t ~warmup ~measure ?period ~procs ~shard_pool ~in_process
+    jobs =
   let slots =
     match shard_pool with
     | Some sp -> Shard_exec.pool_size sp
-    | None -> procs + List.length hosts
+    | None -> procs
   in
   let fan_out =
     let width =
@@ -347,7 +347,7 @@ let sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
     let p =
       match shard_pool with
       | Some p -> p
-      | None -> Shard_exec.get_pool ~hosts procs
+      | None -> Shard_exec.get_pool procs
     in
     let res =
       Shard_exec.run_jobs p ~spec:(spec t) ~warmup ~measure ?period
@@ -427,20 +427,11 @@ let resolve_procs procs shard_pool =
   | None, Some sp -> Shard_exec.pool_size sp
   | None, None -> Shard_exec.env_procs ()
 
-(* same shape for remote hosts: explicit arg wins; a caller-supplied
-   pool carries its own peers (so no extra hosts); otherwise the
-   MP_HOSTS knob decides ([] = no remotes, unchanged behavior) *)
-let resolve_hosts hosts shard_pool =
-  match (hosts, shard_pool) with
-  | Some h, _ -> h
-  | None, Some _ -> []
-  | None, None -> Shard_exec.env_hosts ()
-
 (* The one batch path under [run_batch], [run_heterogeneous_batch] and
    the worker's [exec_request]: every job is keyed once, and the key
    serves dedup, the cache lookup and the cache fill after a shard. *)
 let batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
-    ?hosts ?shard_pool ?(dedup = true) t jobs =
+    ?shard_pool ?(dedup = true) t jobs =
   (* deterministic id assignment: intern everything in job order —
      duplicates included — before any worker touches the opmap *)
   List.iter (fun (_, ps) -> List.iter (pre_intern t) ps) jobs;
@@ -448,7 +439,6 @@ let batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
     match pool with Some p -> p | None -> Mp_util.Parallel.global ()
   in
   let procs = resolve_procs procs shard_pool in
-  let hosts = resolve_hosts hosts shard_pool in
   let in_process keyed =
     (* chunked: replay and cache hits make individual jobs tiny, and
        chunking amortises deque traffic over them; auto_chunk leaves
@@ -458,28 +448,27 @@ let batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
       keyed
   in
   let exec keyed =
-    if procs <= 0 && hosts = [] then in_process keyed
+    if procs <= 0 then in_process keyed
     else
-      sharded_exec t ~warmup ~measure ?period ~procs ~hosts ~shard_pool
-        ~in_process keyed
+      sharded_exec t ~warmup ~measure ?period ~procs ~shard_pool ~in_process
+        keyed
   in
   let keyed = List.map (fun job -> (job_key t ~warmup ~measure job, job)) jobs in
   if dedup then dedup_map exec keyed else exec keyed
 
-let run_batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup
-    t jobs =
-  batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup t
+let run_batch ?warmup ?measure ?period ?pool ?procs ?shard_pool ?dedup t jobs =
+  batch ?warmup ?measure ?period ?pool ?procs ?shard_pool ?dedup t
     (List.map (fun (config, p) -> (config, [ p ])) jobs)
 
-let run_heterogeneous_batch ?warmup ?measure ?period ?pool ?procs ?hosts
-    ?shard_pool ?dedup t jobs =
+let run_heterogeneous_batch ?warmup ?measure ?period ?pool ?procs ?shard_pool
+    ?dedup t jobs =
   (* every job up front, before dedup or dispatch: a worker would run
      a one-program job as a replicated deployment instead of
      rejecting it *)
   List.iter
     (fun (config, ps) -> check_arity "Machine.run_heterogeneous_batch" config ps)
     jobs;
-  batch ?warmup ?measure ?period ?pool ?procs ?hosts ?shard_pool ?dedup t jobs
+  batch ?warmup ?measure ?period ?pool ?procs ?shard_pool ?dedup t jobs
 
 let run_phases ?pool t config phases =
   match phases with
@@ -596,7 +585,7 @@ let exec_request (rq : Shard_exec.request) =
   in
   Array.of_list
     (batch ~warmup:rq.Shard_exec.rq_warmup ~measure:rq.Shard_exec.rq_measure
-       ~period:rq.Shard_exec.rq_period ~procs:0 ~hosts:[] ~dedup:false
+       ~period:rq.Shard_exec.rq_period ~procs:0 ~dedup:false
        (machine_for_spec rq.Shard_exec.rq_spec)
        jobs)
 

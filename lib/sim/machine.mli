@@ -67,7 +67,7 @@ val run :
 
 val run_batch :
   ?warmup:int -> ?measure:int -> ?period:bool -> ?pool:Mp_util.Parallel.t ->
-  ?procs:int -> ?hosts:(string * int) list -> ?shard_pool:Shard_exec.pool ->
+  ?procs:int -> ?shard_pool:Shard_exec.pool ->
   ?dedup:bool ->
   t -> (Mp_uarch.Uarch_def.config * Mp_codegen.Ir.t) list ->
   Measurement.t list
@@ -97,15 +97,11 @@ val run_batch :
     (thin batches stay in-process, same {!Mp_util.Parallel.worthwhile}
     predicate) and crash-tolerant: jobs lost to a dead or wedged
     worker are transparently re-run in-process ({!jobs_recovered}
-    counts them). [hosts] adds remote TCP workers (default: the
-    [MP_HOSTS] knob) to the same pool — slots beyond the [procs] local
-    subprocesses — under the identical placement fold and crash/
-    recovery contract; a lost peer degrades to a slower batch exactly
-    like a lost subprocess. [shard_pool] supplies an explicit pool (the
-    bench harness builds per-combination pools) and then carries its
-    own peers; otherwise the shared process-wide pool of [procs]
-    workers plus [hosts] peers serves. Dispatch is work-conserving and
-    results stay bit-identical, see {!Shard_exec.run_jobs}. *)
+    counts them). [shard_pool] supplies an explicit pool (the bench
+    harness builds per-combination pools) whose size then stands in
+    for [procs]; otherwise the shared process-wide pool of [procs]
+    workers serves. Dispatch is work-conserving and results stay
+    bit-identical, see {!Shard_exec.run_jobs}. *)
 
 val run_heterogeneous :
   ?warmup:int -> ?measure:int -> ?period:bool ->
@@ -118,14 +114,14 @@ val run_heterogeneous :
 
 val run_heterogeneous_batch :
   ?warmup:int -> ?measure:int -> ?period:bool -> ?pool:Mp_util.Parallel.t ->
-  ?procs:int -> ?hosts:(string * int) list -> ?shard_pool:Shard_exec.pool ->
+  ?procs:int -> ?shard_pool:Shard_exec.pool ->
   ?dedup:bool ->
   t -> (Mp_uarch.Uarch_def.config * Mp_codegen.Ir.t list) list ->
   Measurement.t list
 (** {!run_heterogeneous} over a whole candidate population as one
     fan-out across [pool], through the same batch path as {!run_batch}
     — same determinism contract, [dedup] duplicate collapsing and
-    [procs]/[hosts]/[shard_pool] process sharding: results in job
+    [procs]/[shard_pool] process sharding: results in job
     order, bit-identical to the serial loop (all per-thread programs
     are pre-interned in job order before any worker runs). Every job's
     program count is checked against its SMT mode before anything

@@ -115,18 +115,23 @@ let length t =
   Mutex.unlock t.lock;
   n
 
-let global_table = ref None
+(* One process-wide table per replay directory, plus one with the disk
+   off, chosen by the environment at each call: a machine's records
+   land under the cache root its measurements use, even after the
+   process has moved [MP_CACHE_DIR]. *)
+let global_tables : (string option, t) Hashtbl.t = Hashtbl.create 4
 let global_lock = Mutex.create ()
 
 (* [Mutex.protect]: a rejected MP_CACHE raises inside the critical
    section *)
 let global () =
   Mutex.protect global_lock (fun () ->
-      match !global_table with
+      let dir = env_disk_dir () in
+      match Hashtbl.find_opt global_tables dir with
       | Some r -> r
       | None ->
-        let r = create ?disk_dir:(env_disk_dir ()) () in
-        global_table := Some r;
+        let r = create ?disk_dir:dir () in
+        Hashtbl.add global_tables dir r;
         r)
 
 (* ----- keys -------------------------------------------------------------- *)

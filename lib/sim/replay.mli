@@ -43,9 +43,10 @@ val create : ?disk_dir:string -> unit -> t
     tables. *)
 
 val global : unit -> t
-(** The process-wide table {!Machine.create} attaches by default,
-    created on first use with the environment's disk configuration
-    ({!Measurement_cache.env_disk}). *)
+(** The process-wide table {!Machine.create} attaches by default: one
+    per replay directory the environment names at the call
+    ({!Measurement_cache.env_disk}), plus one for the disk off, each
+    created on first use. *)
 
 val length : t -> int
 (** Number of in-memory records. *)

@@ -1,39 +1,32 @@
-(** Sharded multi-process and multi-host measurement execution — the
-    process-level fan-out above {!Mp_util.Parallel}'s domain pool.
+(** Sharded multi-process measurement execution — the process-level
+    fan-out above {!Mp_util.Parallel}'s domain pool.
 
     A coordinator shards a (deduplicated) measurement batch across a
-    mixed {!Mp_util.Workerpool} of {e subprocesses} (re-execs of the
+    {!Mp_util.Workerpool} of worker subprocesses: re-execs of the
     current executable, flagged by [MP_SHARD_WORKER], each talking
-    frames over its stdin/stdout) and {e remote peers} (the same
-    executable running [microprobe worker --listen], over TCP). Jobs
-    are placed by their programs' structural hashes, so the same
-    structural program always lands on the same worker — that
-    worker's replay table and warm cache accumulate exactly the
-    records the program will ask for again; placement
-    depends only on the slot count, never on a slot's transport.
-    Results stream back and are scattered positionally; execution is
-    bit-identical to in-process evaluation (measurements are
-    deterministic given the job, and {!Power_sim} sums energies in
-    opcode-name order, so a worker's independent intern history cannot
-    reorder a float sum).
+    frames over its stdin/stdout. Jobs are placed by their programs'
+    structural hashes, so the same structural program always lands on
+    the same worker — that worker's replay table and warm cache
+    accumulate exactly the records the program will ask for again;
+    placement depends only on the slot count. Results stream back and
+    are scattered positionally; execution is bit-identical to
+    in-process evaluation (measurements are deterministic given the
+    job, and {!Power_sim} sums energies in opcode-name order, so a
+    worker's independent intern history cannot reorder a float sum).
 
     {2 Wire protocol}
 
     Length-prefixed [Marshal] frames ({!Mp_util.Transport} owns the
-    codec; every slot speaks the identical format). Requests
-    carry the sender's {!Measurement_cache.namespace} — schema version
-    plus a digest of the executable, the same guard the disk cache
-    uses — and are written with [Marshal.Closures] (the uarch's
-    [resources] field is a closure), which is only sound between
-    identical binaries: the self-exec guarantees it for subprocesses,
-    and TCP peers additionally prove it at connect time by exchanging a
-    handshake frame carrying the namespace (a mismatched peer is
-    rejected before any closure-bearing frame is decoded; the
-    namespace is still re-checked per request on both ends). Workers
-    inherit [MP_CACHE_DIR], so the sharded disk cache and the replay
-    store are the merge point: every worker writes through with the
-    same tmp+rename atomicity, and a campaign's second lap is warm
-    regardless of which process measured first.
+    codec). Requests carry the sender's {!Measurement_cache.namespace}
+    — schema version plus a digest of the executable, the same guard
+    the disk cache uses — and are written with [Marshal.Closures] (the
+    uarch's [resources] field is a closure), which is only sound
+    between identical binaries: the self-exec guarantees it, and the
+    namespace is still checked per request on both ends. Workers
+    inherit [MP_CACHE_DIR], so the disk cache and the replay store are
+    the merge point: each worker process appends to its own segment of
+    checksummed frames, and a campaign's second lap is warm regardless
+    of which process measured first.
 
     {2 Crash tolerance}
 
@@ -43,9 +36,8 @@
     no live slot could complete, and the caller ({!Machine.run_batch})
     re-runs exactly those jobs in its own domain pool — a dying worker
     degrades to a slower batch, never a failed or wrong one. The next
-    dispatch respawns a subprocess slot or reconnects a remote one
-    (the remote worker process itself is out of our hands); a slot
-    whose open failed backs off before the next attempt. *)
+    dispatch respawns the slot; a slot whose spawn failed backs off
+    before the next attempt. *)
 
 (** Everything needed to reconstruct an equivalent [Machine.t] in the
     worker (the worker memoizes machines per spec, so consecutive
@@ -68,8 +60,8 @@ type request = {
   rq_ns : string;
   rq_chunk : int;
       (** echoed back verbatim in {!response.rs_chunk}: with pipelined
-          and speculated dispatch, responses are matched by tag, never
-          by arrival order alone *)
+          dispatch, responses are matched by tag, never by arrival
+          order alone *)
   rq_warmup : int;
   rq_measure : int;
   rq_period : bool;
@@ -95,23 +87,6 @@ val env_procs : unit -> int
     worker process — workers never spawn process pools of their
     own. *)
 
-val env_hosts : unit -> (string * int) list
-(** [MP_HOSTS] parsed by {!Mp_util.Env.hosts}: a comma-separated list
-    of [host:port] remote workers. Always [[]] inside a worker process
-    — remote workers never chain to further remotes. *)
-
-(** What an idle slot does once the shared queue is empty but chunks
-    are still outstanding elsewhere. [Spec_force] is a test hook:
-    duplicate eagerly whenever a slot merely has spare window,
-    guaranteeing duplicate completions so the first-result-wins merge
-    is exercised deterministically. *)
-type speculate = Spec_off | Spec_on | Spec_force
-
-val env_speculate : unit -> speculate
-(** [MP_SPECULATE] parsed: an off {!Mp_util.Env.flag_words} spelling →
-    [Spec_off], [force] → [Spec_force], an on spelling or unset →
-    [Spec_on]. *)
-
 val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
 (** The chunk-size heuristic: jobs per chunk such that each slot's
     pipeline window of [inflight] frames refills about four times over
@@ -122,15 +97,12 @@ val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
 
 (** {3 Per-slot telemetry}
 
-    Cumulative per slot label ([proc:N] or [host:port]) over every
-    sharded batch in the process. *)
+    Cumulative per slot label ([proc:N]) over every sharded batch in
+    the process. *)
 
 type slot_stat = {
-  sl_jobs : int;  (** jobs whose first-accepted result came from here *)
-  sl_chunks : int;  (** chunks whose first-accepted result came from here *)
-  sl_speculated : int;  (** duplicate chunk copies dispatched to this slot *)
-  sl_cancelled : int;
-      (** completions discarded because a sibling's copy won *)
+  sl_jobs : int;  (** jobs whose results came from here *)
+  sl_chunks : int;  (** chunks whose results came from here *)
   sl_busy_s : float;  (** wall time with at least one chunk in flight here *)
   sl_wall_s : float;  (** wall time of the batches this slot took part in *)
 }
@@ -140,16 +112,9 @@ val slot_stats : unit -> (string * slot_stat) list
 
 val reset_slot_stats : unit -> unit
 
-val chunks_speculated : unit -> int
-(** Sum of [sl_speculated] over all slots. *)
-
-val chunks_cancelled : unit -> int
-(** Sum of [sl_cancelled] over all slots. *)
-
 val in_worker_process : unit -> bool
-(** True when this process was spawned as a shard worker (subprocess
-    or TCP) or is currently serving remote coordinators via
-    {!serve}. *)
+(** True when this process was spawned as a shard worker
+    ([MP_SHARD_WORKER] set). *)
 
 val shard_index : shards:int -> Mp_codegen.Ir.t list -> int
 (** The placement function: an FNV fold of the per-thread programs'
@@ -167,58 +132,33 @@ val install_executor : (request -> Measurement.t array) -> unit
 val maybe_become_worker : unit -> unit
 (** If this process carries [MP_SHARD_WORKER=1]: dup the protocol fds,
     redirect stdout to stderr (stray prints must not corrupt frames),
-    serve request frames until EOF, then [exit 0]. If it carries
-    [MP_NET_WORKER] (["host:port"]): {!serve} on that
-    address, then [exit 0]. Never returns in a worker process; a no-op
-    otherwise. Called at [Machine] module-init, after the executor is
-    installed. *)
-
-val serve : ?host:string -> port:int -> unit -> unit
-(** Run this process as a persistent TCP worker: bind [host:port]
-    (default [0.0.0.0], [SO_REUSEADDR]), accept one coordinator at a
-    time, require the namespace handshake on each connection, then run
-    the same frame loop the subprocess worker runs. SIGTERM/SIGINT
-    request a graceful drain: an in-flight request finishes and its
-    response is delivered, then [serve] returns (within 0.25 s when
-    idle). The process must not fan out while serving
-    ({!env_procs}/{!env_hosts} report 0/[[]] for its lifetime). *)
-
-val spawn_worker : ?env:(string * string) list -> port:int -> unit -> int
-(** Spawn a loopback TCP worker — a re-exec of [Sys.executable_name]
-    with [MP_NET_WORKER] set — wait until [127.0.0.1:port] accepts
-    connections, and return its pid. Raises [Failure] (after killing
-    the child) if the port is not accepting within 30 s. Used by the
-    bench harness and tests; the caller owns the pid (SIGTERM +
-    waitpid to stop it). *)
+    serve request frames until EOF, then [exit 0]. Never returns in a
+    worker process; a no-op otherwise. Called at [Machine] module-init,
+    after the executor is installed. *)
 
 (** {2 Coordinator side} *)
 
 type pool
 
-val create_pool :
-  ?env:(string * string) list -> ?hosts:(string * int) list -> int -> pool
-(** A mixed pool: [n] worker subprocesses (re-execs of
-    [Sys.executable_name]; none when [n = 0]) in slots [0..n-1],
-    followed by one TCP peer per [hosts] entry, each peer required to
-    echo the namespace handshake. Nothing is spawned or connected until
+val create_pool : ?env:(string * string) list -> int -> pool
+(** A pool of [n] worker subprocesses (re-execs of
+    [Sys.executable_name]) in slots [0..n-1]. Nothing is spawned until
     a slot's first dispatch. [env] adds environment overrides for the
-    subprocess workers — the bench harness uses [("MP_POOL_SIZE", d)]
-    to control each worker's domain count; the worker flag,
-    [MP_PROCS=0] and [MP_HOSTS=""] are always set (remote peers bring
-    their own environment). Each shard exchange is bounded by
-    [MP_PROC_TIMEOUT_S] seconds (default 300), read here; a worker
-    that exceeds it is treated as crashed. *)
+    workers — the bench harness uses [("MP_POOL_SIZE", d)] to control
+    each worker's domain count; the worker flag and [MP_PROCS=0] are
+    always set. Each shard exchange is bounded by [MP_PROC_TIMEOUT_S]
+    seconds (default 300), read here; a worker that exceeds it is
+    treated as crashed. *)
 
 val pool_size : pool -> int
-(** Local + remote slots — the [shards] the placement fold sees. *)
+(** The slot count — the [shards] the placement fold sees. *)
 
 val workers : pool -> Mp_util.Workerpool.t
 (** The slots, exposed for tests (opening a slot and crash injection
     via {!Mp_util.Workerpool.kill}). *)
 
 val shutdown_pool : pool -> unit
-(** Shut down subprocess workers and close every remote connection.
-    Idempotent. *)
+(** Shut down the worker subprocesses. Idempotent. *)
 
 val run_jobs :
   pool ->
@@ -236,14 +176,12 @@ val run_jobs :
     but dispatch is work-conserving: every live slot keeps up to two
     chunk frames outstanding, completions refill from the slot's own
     queue, then from re-queued chunks of dead slots, then by stealing
-    from the longest sibling queue. Once queues are dry, idle slots
-    re-dispatch the oldest outstanding chunk (per {!env_speculate})
-    and the first response wins — a straggler or silently-dead slot
-    no longer gates the batch, and a crashed slot's chunks re-enter
-    the queue instead of falling back to the coordinator. [None]
-    positions remain only for chunks no live slot could complete
-    (deterministic executor failure, unmarshalable request, or every
-    slot dead).
+    from the longest sibling queue. Each chunk has at most one copy
+    outstanding: a crashed slot's chunks re-enter the queue instead of
+    falling back to the coordinator, and an executor error fails its
+    chunk at once. [None] positions remain only for chunks no live
+    slot could complete (executor error, unmarshalable request, or
+    every slot dead).
 
     The result is bit-identical to in-process execution, and
     dispatches are serialized process-wide (one conversation per slot
@@ -251,21 +189,14 @@ val run_jobs :
 
 (** {2 The shared pool} *)
 
-val get_pool : ?hosts:(string * int) list -> int -> pool
+val get_pool : int -> pool
 (** The process-wide pool, created on first use and grown (never
-    shrunk) to at least [n] local workers. When the requested [hosts]
-    differ from the live pool's the pool is replaced (shard placement
-    depends on the slot count, so a stale topology must not be
-    served). Shut down at exit. *)
+    shrunk) to at least [n] workers. Shut down at exit. *)
 
 val global_size : unit -> int
-(** Local workers in the shared pool ([0] when it was never created) —
-    the [procs_effective] harness metric. *)
-
-val global_remote_size : unit -> int
-(** Remote peers in the shared pool — the [hosts_effective] harness
-    metric. *)
+(** Workers in the shared pool ([0] when it was never created) — the
+    [procs_effective] harness metric. *)
 
 val shutdown_global : unit -> unit
-(** Shut down the shared pool now — subprocesses and remote
-    connections both; idempotent. Also registered [at_exit]. *)
+(** Shut down the shared pool now; idempotent. Also registered
+    [at_exit]. *)

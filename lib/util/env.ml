@@ -41,25 +41,3 @@ let positive_float name =
       match float_of_string_opt v with
       | Some f when f > 0.0 && Float.is_finite f -> Some f
       | _ -> None)
-
-let host_port entry =
-  match String.rindex_opt entry ':' with
-  | None -> None
-  | Some i -> (
-    let host = String.sub entry 0 i in
-    let port = String.sub entry (i + 1) (String.length entry - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p > 0 && p < 65536 && host <> "" -> Some (host, p)
-    | _ -> None)
-
-let hosts name =
-  let parse v =
-    let entries =
-      String.split_on_char ',' v |> List.map String.trim
-      |> List.filter (( <> ) "")
-    in
-    let parsed = List.filter_map host_port entries in
-    if List.compare_lengths parsed entries = 0 then Some parsed else None
-  in
-  Option.value ~default:[]
-    (read name ~expected:"host:port[,host:port...]" parse)

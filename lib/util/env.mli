@@ -31,13 +31,3 @@ val int : string -> min:int -> int option
 
 val positive_float : string -> float option
 (** A finite number greater than zero; [None] when absent. *)
-
-val host_port : string -> (string * int) option
-(** One [host:port] entry, split on the {e last} colon so a bare IPv6
-    literal ([::1:7000]) keeps its colons; the host must be non-empty
-    and the port in [1..65535]. [None] when the entry does not
-    parse. *)
-
-val hosts : string -> (string * int) list
-(** A comma-separated list of {!host_port} entries ([[]] when absent;
-    blank entries are skipped). *)

@@ -1,9 +1,9 @@
-(* The byte-level frame codec every worker transport speaks. A frame
-   is a 4-byte big-endian length followed by the payload; the 1 GiB
-   guard bounds the damage a corrupt header can do — the reader fails
-   the peer instead of trying to allocate gigabytes. Subprocess and TCP
-   slots of a Workerpool, and the worker loop on the far side, all
-   speak exactly this format. *)
+(* The byte-level frame codec the shard workers speak. A frame is a
+   4-byte big-endian length followed by the payload; the 1 GiB guard
+   bounds the damage a corrupt header can do — the reader fails the
+   peer instead of trying to allocate gigabytes. A Workerpool's slots
+   and the worker loop on the far side both speak exactly this
+   format. *)
 
 let max_frame_bytes = 1 lsl 30
 

@@ -1,10 +1,10 @@
-(** The frame codec every worker transport speaks.
+(** The frame codec the shard workers speak.
 
     Frames are a 4-byte big-endian length followed by the payload,
     bounded by a 1 GiB guard so a corrupt header cannot make the reader
-    allocate garbage. {!Workerpool}'s subprocess and TCP slots and the
-    worker loop in [Mp_sim.Shard_exec] all speak exactly this format
-    over plain fds. *)
+    allocate garbage. {!Workerpool}'s slots and the worker loop in
+    [Mp_sim.Shard_exec] both speak exactly this format over plain
+    fds. *)
 
 val max_frame_bytes : int
 (** 1 GiB. A header claiming more (or a negative length) makes

@@ -1,13 +1,11 @@
-(* A crash-tolerant pool of worker slots. A slot is a subprocess or a
-   TCP peer, but either way the coordinator holds exactly one
-   bidirectional fd for it: a subprocess gets the other end of an
-   AF_UNIX socketpair as both stdin and stdout, so a worker loop that
-   reads stdin and writes stdout cannot tell the difference. Opening a
-   slot is the only step that depends on its kind; everything after it
-   is one path. Every failure degrades to "this worker is gone" (the
-   slot is reaped and the call reports failure), and the *caller*
-   re-runs whatever was in flight — a split that keeps the recovery
-   story testable with a plain [/bin/cat] echo worker. *)
+(* A crash-tolerant pool of worker subprocesses. The coordinator holds
+   exactly one bidirectional fd per slot: the worker gets the other end
+   of an AF_UNIX socketpair as both stdin and stdout, so a worker loop
+   only ever reads stdin and writes stdout. Every failure degrades to
+   "this worker is gone" (the slot is reaped and the call reports
+   failure), and the *caller* re-runs whatever was in flight — a split
+   that keeps the recovery story testable with a plain [/bin/cat] echo
+   worker. *)
 
 (* ----- process-wide telemetry -------------------------------------------- *)
 
@@ -30,11 +28,7 @@ let count_bytes payload =
 
 (* ----- the pool ---------------------------------------------------------- *)
 
-type kind = Proc | Peer of string * int
-
 type slot = {
-  kind : kind;
-  label : string;
   mutable fd : Unix.file_descr option; (* Some while the slot is open *)
   mutable pid : int; (* the subprocess behind [fd]; -1 otherwise *)
   mutable opened_once : bool; (* a later open is a reopen *)
@@ -46,8 +40,6 @@ type t = {
   prog : string;
   argv : string array;
   env : string array;
-  handshake : bytes option;
-  connect_timeout_s : float;
   lock : Mutex.t; (* guards the slots (open/reap transitions, growth) *)
   mutable slots : slot array;
 }
@@ -78,10 +70,8 @@ let child_env overrides =
   in
   Array.of_list (ov @ inherited)
 
-let new_slot kind label =
+let new_slot _ =
   {
-    kind;
-    label;
     fd = None;
     pid = -1;
     opened_once = false;
@@ -89,61 +79,42 @@ let new_slot kind label =
     next_attempt = 0.0;
   }
 
-let proc_slot i = new_slot Proc (Printf.sprintf "proc:%d" i)
-
-let create ?(prog = Sys.executable_name) ?(args = []) ?(env = []) ?(hosts = [])
-    ?handshake n =
+let create ?(prog = Sys.executable_name) ?(args = []) ?(env = []) n =
   (* a write to a worker that just died must surface as EPIPE, not kill
      the coordinator *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  let peer (host, port) =
-    new_slot (Peer (host, port)) (Printf.sprintf "%s:%d" host port)
-  in
   {
     prog;
     argv = Array.of_list (prog :: args);
     env = child_env env;
-    handshake;
-    connect_timeout_s =
-      Option.value ~default:10.0
-        (Env.positive_float "MP_NET_CONNECT_TIMEOUT_S");
     lock = Mutex.create ();
-    slots =
-      Array.append
-        (Array.init (max 0 n) proc_slot)
-        (Array.of_list (List.map peer hosts));
+    slots = Array.init (max 0 n) new_slot;
   }
 
 let locked t f = Mutex.protect t.lock f
 
 let size t = locked t (fun () -> Array.length t.slots)
 
-let count_procs t =
-  Array.fold_left (fun n s -> if s.kind = Proc then n + 1 else n) 0 t.slots
-
-let procs t = locked t (fun () -> count_procs t)
-
 let ensure_size t n =
   locked t (fun () ->
-      let cur = count_procs t in
+      let cur = Array.length t.slots in
       if n > cur then
-        t.slots <-
-          Array.concat
-            [
-              Array.sub t.slots 0 cur;
-              Array.init (n - cur) (fun k -> proc_slot (cur + k));
-              Array.sub t.slots cur (Array.length t.slots - cur);
-            ])
+        t.slots <- Array.append t.slots (Array.init (n - cur) new_slot))
 
-let label t i = locked t (fun () -> t.slots.(i).label)
+let label _ i = Printf.sprintf "proc:%d" i
 
 let close_fd fd = try Unix.close fd with _ -> ()
 
-(* ----- opening a slot: the only per-kind code ---------------------------- *)
+(* ----- opening a slot --------------------------------------------------- *)
 
-(* The coordinator's end is close-on-exec, so a worker spawned later
-   never holds this one's socket open, and closing it delivers EOF. *)
-let spawn t =
+(* must hold t.lock. The coordinator's end is close-on-exec, so a
+   worker spawned later never holds this one's socket open and closing
+   it delivers EOF; it is non-blocking so a worker that stopped
+   draining can't wedge the coordinator (see [Transport.write_all]). A
+   failed spawn starts (or doubles) the slot's backoff window, so a
+   missing or broken binary fast-fails instead of being retried on
+   every send. *)
+let open_locked t s =
   let ours, theirs =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
@@ -151,79 +122,17 @@ let spawn t =
   | exception _ ->
     close_fd ours;
     close_fd theirs;
-    None
+    s.next_attempt <- Unix.gettimeofday () +. s.backoff_s;
+    s.backoff_s <- Float.min backoff_cap_s (s.backoff_s *. 2.0)
   | pid ->
     Unix.close theirs;
-    Some (ours, pid)
-
-(* Non-blocking connect + select + SO_ERROR, so a black-holed host
-   costs [connect_timeout_s] instead of the kernel's minutes-long
-   default. Then the handshake: both ends exchange one frame carrying
-   the protocol tag and namespace (schema version + binary digest), and
-   a mismatch rejects the peer before any request frame is sent. *)
-let connect t host port =
-  match
-    Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
-  with
-  | [] -> None
-  | ai :: _ ->
-    let addr = ai.Unix.ai_addr in
-    let fd =
-      Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-    in
-    Unix.set_nonblock fd;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-    let connected =
-      match Unix.connect fd addr with
-      | () -> true
-      | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
-        (match Unix.select [] [ fd ] [] t.connect_timeout_s with
-         | _, [ _ ], _ -> Unix.getsockopt_error fd = None
-         | _ -> false
-         | exception _ -> false)
-      | exception _ -> false
-    in
-    let accepted () =
-      match t.handshake with
-      | None -> true
-      | Some hs ->
-        let deadline = Unix.gettimeofday () +. t.connect_timeout_s in
-        (match Transport.write_frame ~deadline fd hs with
-         | exception _ -> false
-         | () ->
-           (match Transport.read_frame ~timeout_s:t.connect_timeout_s fd with
-            | Some reply -> Bytes.equal reply hs
-            | None -> false))
-    in
-    if connected && accepted () then Some fd
-    else begin
-      close_fd fd;
-      None
-    end
-
-(* must hold t.lock. A failed open starts (or doubles) the slot's
-   backoff window, so a down host, a stale peer or a missing binary
-   fast-fails instead of being retried on every send. *)
-let open_locked t s =
-  let opened =
-    match s.kind with
-    | Proc -> spawn t
-    | Peer (host, port) -> Option.map (fun fd -> (fd, -1)) (connect t host port)
-  in
-  match opened with
-  | Some (fd, pid) ->
-    (* non-blocking so a worker that stopped draining can't wedge the
-       coordinator (see [Transport.write_all]) *)
-    Unix.set_nonblock fd;
+    Unix.set_nonblock ours;
     if s.opened_once then Atomic.incr reopens;
     s.opened_once <- true;
-    s.fd <- Some fd;
+    s.fd <- Some ours;
     s.pid <- pid;
     s.backoff_s <- backoff_initial_s;
     s.next_attempt <- 0.0
-  | None ->
-    s.next_attempt <- Unix.gettimeofday () +. s.backoff_s;
-    s.backoff_s <- Float.min backoff_cap_s (s.backoff_s *. 2.0)
 
 (* must hold t.lock *)
 let ensure_open_locked t s =
@@ -240,25 +149,14 @@ let reap_locked s =
   end;
   s.pid <- -1
 
-(* ----- one path for every slot ------------------------------------------- *)
+(* ----- send, receive, reap ---------------------------------------------- *)
 
-let open_slot ?(retry_for_s = 0.0) t i =
-  let deadline = Unix.gettimeofday () +. retry_for_s in
-  let rec loop () =
-    let ok =
-      locked t (fun () ->
-          let s = t.slots.(i) in
-          (* an explicit open is a caller saying "try now" *)
-          s.next_attempt <- 0.0;
-          ensure_open_locked t s <> None)
-    in
-    if ok || Unix.gettimeofday () >= deadline then ok
-    else begin
-      Unix.sleepf 0.02;
-      loop ()
-    end
-  in
-  loop ()
+let open_slot t i =
+  locked t (fun () ->
+      let s = t.slots.(i) in
+      (* an explicit open is a caller saying "try now" *)
+      s.next_attempt <- 0.0;
+      ensure_open_locked t s <> None)
 
 let write_slot t i write =
   locked t (fun () ->

@@ -1,24 +1,20 @@
-(** A crash-tolerant pool of worker slots: subprocesses and TCP peers,
-    each reached through one bidirectional fd.
+(** A crash-tolerant pool of worker subprocesses, each reached through
+    one bidirectional fd.
 
-    The transport under {!Mp_sim.Shard_exec}. A subprocess slot runs
-    [prog args] with one end of an [AF_UNIX] socketpair as both its
-    stdin and stdout; a peer slot is a TCP connection to [host:port].
-    Both speak the {!Transport} frame codec and know nothing about what
-    the frames mean. Only opening a slot depends on its kind (spawn, or
-    connect plus the handshake); send, recv, reap, backoff, shutdown and
-    the counters are one path for every slot.
+    The transport under {!Mp_sim.Shard_exec}. A slot runs [prog args]
+    with one end of an [AF_UNIX] socketpair as both its stdin and
+    stdout, speaks the {!Transport} frame codec and knows nothing about
+    what the frames mean.
 
-    Creating a pool spawns and connects nothing: a slot opens lazily on
-    its first {!send}. Every failure — a failed spawn or connect, a
-    rejected handshake, a worker that died or stopped responding, a
-    truncated or oversized frame, a broken pipe — degrades to "this
-    worker is gone": the slot is reaped (fd closed; a subprocess is
-    SIGKILLed and waited for) and the call reports failure, leaving the
-    {e caller} to re-run whatever was in flight. The next {!send}
-    reopens the slot (counted by {!reopen_count}); after a failed open
-    the slot fast-fails for a capped exponential backoff window
-    (0.05 s doubling to 2 s), so a down host or a missing binary costs
+    Creating a pool spawns nothing: a slot opens lazily on its first
+    {!send}. Every failure — a failed spawn, a worker that died or
+    stopped responding, a truncated or oversized frame, a broken pipe —
+    degrades to "this worker is gone": the slot is reaped (fd closed,
+    the subprocess SIGKILLed and waited for) and the call reports
+    failure, leaving the {e caller} to re-run whatever was in flight.
+    The next {!send} respawns the slot (counted by {!reopen_count});
+    after a failed spawn the slot fast-fails for a capped exponential
+    backoff window (0.05 s doubling to 2 s), so a missing binary costs
     one attempt per window instead of one per send.
 
     Coordinator fds are close-on-exec, so a worker spawned later never
@@ -31,38 +27,25 @@
 
 type t
 
-val child_env : (string * string) list -> string array
-(** The inherited environment with [overrides] applied on top (an
-    override wins over an inherited binding of the same name; the first
-    occurrence of a key within the override list wins). *)
-
 val create :
-  ?prog:string -> ?args:string list -> ?env:(string * string) list ->
-  ?hosts:(string * int) list -> ?handshake:bytes -> int -> t
-(** [create n] lays out [n] subprocess slots labelled [proc:0] ..
-    [proc:n-1] running [prog args] (default: [Sys.executable_name], no
-    arguments) with [env] overrides on top of the inherited environment
-    and stderr inherited, followed by one peer slot per [hosts] entry,
-    labelled [host:port]. When [handshake] is given, each connect sends
-    it as one frame and rejects the peer unless the reply is
-    byte-identical. Peer connects and handshakes are bounded by
-    [MP_NET_CONNECT_TIMEOUT_S] seconds (default 10). *)
+  ?prog:string -> ?args:string list -> ?env:(string * string) list -> int -> t
+(** [create n] lays out [n] slots labelled [proc:0] .. [proc:n-1]
+    running [prog args] (default: [Sys.executable_name], no arguments)
+    with stderr inherited and [env] overrides on top of the inherited
+    environment (an override wins over an inherited binding of the
+    same name; the first occurrence of a key within [env] wins). *)
 
 val size : t -> int
 
-val procs : t -> int
-(** The number of subprocess slots (slots [0 .. procs t - 1]). *)
-
 val ensure_size : t -> int -> unit
-(** Grow to at least [n] subprocess slots, inserted after the existing
-    ones and before the peers. Never shrinks. *)
+(** Grow to at least [n] slots, appended after the existing ones. Never
+    shrinks. *)
 
 val label : t -> int -> string
 
-val open_slot : ?retry_for_s:float -> t -> int -> bool
-(** Open slot [i] now unless it is open, ignoring the backoff window,
-    and retry every 20 ms for up to [retry_for_s] seconds (default 0:
-    one attempt). [true] when the slot is open. *)
+val open_slot : t -> int -> bool
+(** Open slot [i] now unless it is open, ignoring the backoff window.
+    [true] when the slot is open. *)
 
 val send : ?timeout_s:float -> t -> int -> bytes -> bool
 (** Frame and write [payload] to slot [i], opening it first if needed.
@@ -78,8 +61,8 @@ val recv : ?timeout_s:float -> t -> int -> bytes option
     reaped. *)
 
 val reap : t -> int -> unit
-(** Force-reap slot [i]: fd closed, a subprocess SIGKILLed and waited
-    for. The next {!send} reopens it. *)
+(** Force-reap slot [i]: fd closed, its subprocess SIGKILLed and waited
+    for. The next {!send} respawns it. *)
 
 val select_readable :
   ?timeout_s:float -> ?or_writable:int list -> t -> int list -> int list
@@ -96,13 +79,12 @@ val writable : t -> int -> bool
 val shutdown : t -> unit
 (** Close every slot's fd (EOF lets a healthy subprocess exit on its
     own), wait up to one second for the subprocesses, then SIGKILL
-    and reap the stragglers. Idempotent; a later {!send} reopens. *)
+    and reap the stragglers. Idempotent; a later {!send} respawns. *)
 
 (** {2 Test hooks} *)
 
 val pid : t -> int -> int option
-(** The subprocess behind slot [i]; [None] for a peer or a closed
-    slot. *)
+(** The subprocess behind slot [i]; [None] for a closed slot. *)
 
 val kill : t -> int -> unit
 (** SIGKILL slot [i]'s subprocess but leave the slot's bookkeeping
@@ -116,8 +98,8 @@ val send_raw : t -> int -> bytes -> bool
 (** {2 Process-wide telemetry}
 
     Cumulative over every slot of every pool in the process; monotone,
-    never part of any result. The split by slot kind is visible
-    through the labels [Mp_sim.Shard_exec.slot_stats] reports. *)
+    never part of any result. The split by slot is visible through the
+    labels [Mp_sim.Shard_exec.slot_stats] reports. *)
 
 val frames_sent : unit -> int
 
@@ -127,5 +109,5 @@ val bytes_transferred : unit -> int
 (** Payload plus header bytes, both directions summed. *)
 
 val reopen_count : unit -> int
-(** Opens of a slot that had been open before: respawns and
-    reconnects (first opens excluded). *)
+(** Opens of a slot that had been open before: respawns (first opens
+    excluded). *)

@@ -19,29 +19,10 @@ let mono a mnemonic =
 
 let config a = Mp_uarch.Uarch_def.config ~cores:1 ~smt:1 a.Arch.uarch
 
-let rec remove_tree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+let fresh_dir = Tmp_dir.fresh ~prefix:"mp_disk_test"
 
-(* a new directory name, removed with everything in it at exit *)
-let fresh_dir =
-  let n = ref 0 in
-  fun tag ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "mp_disk_test_%s_%d_%d" tag (Unix.getpid ()) !n)
-    in
-    at_exit (fun () -> try remove_tree d with Sys_error _ -> ());
-    d
-
-(* This process's cache root, set before anything reads the
-   environment: the process-wide replay table lives under it. *)
+(* This process's cache root: a machine created while it is set keeps
+   its measurements and its replay records under it. *)
 let root = fresh_dir "root"
 
 let ns () = Measurement_cache.namespace ()
@@ -134,6 +115,32 @@ let test_cold_batch_layout () =
     Alcotest.(check int) "all from disk" 6 s.Measurement_cache.disk_hits;
     Alcotest.(check int) "nothing simulated" 0 s.Measurement_cache.misses
   | None -> Alcotest.fail "expected a measurement cache"
+
+(* Replay records follow the cache root a machine is created under, not
+   the first root the process read. *)
+let test_replay_follows_root () =
+  let a = arch () in
+  let p = mono a "nor" in
+  let roots = [ fresh_dir "root-a"; fresh_dir "root-b" ] in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MP_CACHE_DIR" root)
+    (fun () ->
+      List.iter
+        (fun dir ->
+          Unix.putenv "MP_CACHE_DIR" dir;
+          ignore (Machine.run (Machine.create a.Arch.uarch) (config a) p))
+        roots);
+  List.iter
+    (fun dir ->
+      Alcotest.(check int)
+        (Filename.basename dir ^ ": one measurement segment")
+        1
+        (List.length (segments dir));
+      Alcotest.(check int)
+        (Filename.basename dir ^ ": one replay segment")
+        1
+        (List.length (segments (Measurement_cache.replay_dir dir))))
+    roots
 
 (* ----- torn and corrupt frames ------------------------------------------ *)
 
@@ -280,6 +287,8 @@ let () =
       ("disk store",
        [ Alcotest.test_case "cold batch: one segment per store" `Quick
            test_cold_batch_layout;
+         Alcotest.test_case "replay records follow the cache root" `Quick
+           test_replay_follows_root;
          Alcotest.test_case "torn tail" `Quick test_torn_tail;
          Alcotest.test_case "flipped payload byte" `Quick test_flipped_byte;
          Alcotest.test_case "refresh on miss" `Quick test_refresh_on_miss;

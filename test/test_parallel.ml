@@ -456,6 +456,36 @@ let test_slow_reader_send_idles () =
     (Printf.sprintf "CPU while waiting under 0.1 s (%.3f s)" used)
     true (used < 0.1)
 
+(* A slot whose program does not exist yet: the failed spawn opens a
+   0.05 s backoff window in which sends fast-fail without another
+   attempt, even once the program is there; after the window the next
+   send spawns it. *)
+let test_failed_spawn_backs_off () =
+  let prog = Tmp_dir.fresh ~prefix:"mp_backoff" "cat" in
+  let p = Mp_util.Workerpool.create ~prog 1 in
+  Fun.protect
+    ~finally:(fun () -> Mp_util.Workerpool.shutdown p)
+    (fun () ->
+      let payload = Bytes.of_string "request" in
+      let t0 = Unix.gettimeofday () in
+      let sent = Mp_util.Workerpool.send p 0 payload in
+      Unix.symlink "/bin/cat" prog;
+      let resent = Mp_util.Workerpool.send p 0 payload in
+      (* the backoff window opens when the first spawn fails and lasts
+         0.05 s; if both sends finished within 0.05 s of the start, the
+         second one certainly fell inside it *)
+      let in_window = Unix.gettimeofday () -. t0 < 0.05 in
+      Alcotest.(check bool) "send to a missing program refused" false sent;
+      if in_window then
+        Alcotest.(check bool) "resend inside the backoff window refused"
+          false resent;
+      Unix.sleepf 0.06;
+      Alcotest.(check bool) "send after the window spawns" true
+        (Mp_util.Workerpool.send p 0 payload);
+      match Mp_util.Workerpool.recv ~timeout_s:10.0 p 0 with
+      | Some b -> Alcotest.(check string) "echo" "request" (Bytes.to_string b)
+      | None -> Alcotest.fail "worker spawned after the window did not echo")
+
 (* ----- multi-process run_batch ---------------------------------------------- *)
 
 (* The shard workers are re-execs of this very test binary (Machine's
@@ -528,171 +558,7 @@ let check_batch_rejects var value () =
   Alcotest.(check int) "no job ran" 0
     (s.Measurement_cache.hits + s.Measurement_cache.misses)
 
-(* ----- multi-host run_batch -------------------------------------------------- *)
-
-(* Remote workers are re-execs of this test binary serving the shard
-   protocol over loopback TCP (MP_NET_WORKER), so these tests exercise
-   the socket transport, the namespace handshake and the reconnect
-   path end to end against the real executor. *)
-
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> Alcotest.fail "free_port: unexpected socket address")
-
-let stop_worker pid =
-  (try Unix.kill pid Sys.sigterm with _ -> ());
-  (try ignore (Unix.waitpid [] pid) with _ -> ())
-
-let test_run_batch_remote_matches_serial () =
-  let a = Arch.power7 () in
-  let jobs = mixed_jobs a in
-  let m1 = Machine.create ~cache:false a.Arch.uarch in
-  let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  let port = free_port () in
-  let pid = Mp_sim.Shard_exec.spawn_worker ~port () in
-  Fun.protect
-    ~finally:(fun () -> stop_worker pid)
-    (fun () ->
-      let hosts = [ ("127.0.0.1", port) ] in
-      let rec0 = Machine.jobs_recovered () in
-      let nf0 = Mp_util.Workerpool.frames_sent () in
-      (* remote-only pool: every fanned job crosses the socket *)
-      let m2 = Machine.create ~cache:false a.Arch.uarch in
-      check_identical "remote-only vs serial" serial
-        (Machine.run_batch ~procs:0 ~hosts m2 jobs);
-      Alcotest.(check int) "no recoveries over a healthy peer" rec0
-        (Machine.jobs_recovered ());
-      Alcotest.(check bool) "request frames crossed the socket" true
-        (Mp_util.Workerpool.frames_sent () > nf0);
-      (* mixed pool: one local subprocess plus the remote peer, same
-         placement fold, still bit-identical *)
-      let m3 = Machine.create ~cache:false a.Arch.uarch in
-      check_identical "mixed local+remote vs serial" serial
-        (Machine.run_batch ~procs:1 ~hosts m3 jobs);
-      Alcotest.(check int) "no recoveries in the mixed pool" rec0
-        (Machine.jobs_recovered ()))
-
-let test_run_batch_remote_crash_recovers () =
-  let a = Arch.power7 () in
-  let jobs = mixed_jobs a in
-  let m1 = Machine.create ~cache:false a.Arch.uarch in
-  let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  let port = free_port () in
-  let hosts = [ ("127.0.0.1", port) ] in
-  let pid = Mp_sim.Shard_exec.spawn_worker ~port () in
-  (* prime the connection so the SIGKILL severs an established peer
-     (the hardest variant: the coordinator only learns at recv time) *)
-  Alcotest.(check bool) "peer connected" true
-    (Mp_util.Workerpool.open_slot ~retry_for_s:5.0
-       Mp_sim.Shard_exec.(workers (get_pool ~hosts 0))
-       0);
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  let rec0 = Machine.jobs_recovered () in
-  let m2 = Machine.create ~cache:false a.Arch.uarch in
-  check_identical "dead peer vs serial" serial
-    (Machine.run_batch ~procs:0 ~hosts m2 jobs);
-  Alcotest.(check bool) "lost jobs recovered in-process" true
-    (Machine.jobs_recovered () > rec0);
-  (* a fresh worker on the same port: the next batch reconnects the
-     reaped slot transparently and loses nothing *)
-  let pid2 = Mp_sim.Shard_exec.spawn_worker ~port () in
-  Fun.protect
-    ~finally:(fun () -> stop_worker pid2)
-    (fun () ->
-      let rc0 = Mp_util.Workerpool.reopen_count () in
-      let rec1 = Machine.jobs_recovered () in
-      let m3 = Machine.create ~cache:false a.Arch.uarch in
-      check_identical "reconnected peer vs serial" serial
-        (Machine.run_batch ~procs:0 ~hosts m3 jobs);
-      Alcotest.(check int) "no recoveries after reconnect" rec1
-        (Machine.jobs_recovered ());
-      Alcotest.(check bool) "reconnect counted" true
-        (Mp_util.Workerpool.reopen_count () > rc0))
-
-let test_handshake_rejected () =
-  (* a loopback listener that answers the handshake with different
-     bytes: the pool must refuse the peer before sending it any request
-     frame, and back off instead of reconnecting on the next send *)
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lsock 4;
-  let port =
-    match Unix.getsockname lsock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> Alcotest.fail "unexpected socket address"
-  in
-  let stop = Atomic.make false in
-  (* counts (connections accepted, frames received after the
-     handshake); Alcotest stays on the calling domain *)
-  let listener =
-    Domain.spawn (fun () ->
-        let rec serve accepts extra =
-          if Atomic.get stop then (accepts, extra)
-          else
-            match Unix.select [ lsock ] [] [] 0.05 with
-            | [], _, _ -> serve accepts extra
-            | _ ->
-              let fd, _ = Unix.accept lsock in
-              let extra =
-                match Mp_util.Transport.read_frame ~timeout_s:5.0 fd with
-                | None -> extra
-                | Some _ -> (
-                  Mp_util.Transport.write_frame fd
-                    (Bytes.of_string "mpnet1 another-build");
-                  match Mp_util.Transport.read_frame ~timeout_s:1.0 fd with
-                  | Some _ -> extra + 1
-                  | None -> extra)
-              in
-              Unix.close fd;
-              serve (accepts + 1) extra
-        in
-        serve 0 0)
-  in
-  let p =
-    Mp_util.Workerpool.create ~hosts:[ ("127.0.0.1", port) ]
-      ~handshake:(Bytes.of_string "mpnet1 this-build") 0
-  in
-  let t0 = Unix.gettimeofday () in
-  let sent = Mp_util.Workerpool.send p 0 (Bytes.of_string "request") in
-  let resent = Mp_util.Workerpool.send p 0 (Bytes.of_string "request") in
-  (* the backoff window opens when the first open fails and lasts
-     0.05 s; if both sends finished within 0.05 s of the start, the
-     second one certainly fell inside it *)
-  let in_window = Unix.gettimeofday () -. t0 < 0.05 in
-  Mp_util.Workerpool.shutdown p;
-  Atomic.set stop true;
-  let accepts, extra = Domain.join listener in
-  Unix.close lsock;
-  Alcotest.(check bool) "send refused" false sent;
-  Alcotest.(check bool) "resend refused" false resent;
-  Alcotest.(check int) "no frame after the handshake" 0 extra;
-  Alcotest.(check bool) "peer reached" true (accepts >= 1);
-  if in_window then
-    Alcotest.(check int) "no new connection inside the backoff window" 1
-      accepts
-
 (* ----- dynamic shard scheduler ----------------------------------------------- *)
-
-let test_speculate_knob_env () =
-  let spec s = Unix.putenv "MP_SPECULATE" s; Shard_exec.env_speculate () in
-  Alcotest.(check bool) "off" true (spec "off" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "0 is off" true (spec "0" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "false is off" true (spec "FALSE" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "no is off" true (spec "no" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "force" true (spec "force" = Shard_exec.Spec_force);
-  Alcotest.(check bool) "on" true (spec "on" = Shard_exec.Spec_on);
-  Alcotest.(check bool) "garbage rejected" true
-    (match spec "sometimes" with
-     | _ -> false
-     | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "unset means on" true (spec "" = Shard_exec.Spec_on)
 
 let test_chunk_heuristic () =
   (* each slot's pipeline window refills ~4 times over a balanced batch *)
@@ -737,9 +603,9 @@ let test_dynamic_skewed_matches_serial () =
     (Machine.run_batch ~procs:2 m2 jobs);
   Alcotest.(check int) "no recoveries in a healthy run" rec0
     (Machine.jobs_recovered ());
-  (* per-slot telemetry: both subprocess slots got a row, the
-     first-accepted jobs cover the whole batch exactly once, and busy
-     time sits inside the batch's wall time *)
+  (* per-slot telemetry: both subprocess slots got a row, the jobs
+     they served cover the whole batch exactly once, and busy time sits
+     inside the batch's wall time *)
   let stats = Shard_exec.slot_stats () in
   Alcotest.(check (list string)) "one row per slot" [ "proc:0"; "proc:1" ]
     (List.map fst stats);
@@ -773,33 +639,41 @@ let test_dynamic_crash_requeues () =
   check_identical "respawned pool vs serial" serial
     (Machine.run_batch ~procs:2 m3 jobs)
 
-let test_speculate_force_first_result_wins () =
+(* A job whose SMT thread starves raises in the worker: its chunk
+   fails at once (an executor error is deterministic, so no other slot
+   retries it), the coordinator re-runs exactly that job in-process and
+   raises the same failure, and the slots stay up — the next batch on
+   the pool is served in full. *)
+let test_executor_error_fails_chunk () =
   let a = Arch.power7 () in
   let jobs = skewed_jobs a in
+  let cfg = Mp_uarch.Uarch_def.config ~cores:1 ~smt:2 a.Arch.uarch in
+  let starved = sized_prog a ~size:64 ~seed:5 ~name:"dyn-starved" "dadd" in
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  Unix.putenv "MP_SPECULATE" "force";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MP_SPECULATE" "")
-    (fun () ->
-      (* Spec_force duplicates eagerly, so some chunk completes twice:
-         the merge must keep the first result and discard the duplicate
-         (counted as cancelled), still bit-identical to serial. The
-         exact duplicate count is timing-dependent, so retry the batch
-         a few times for a run where a duplicate actually landed. *)
-      let rec attempt tries =
-        let s0 = Shard_exec.chunks_speculated () in
-        let c0 = Shard_exec.chunks_cancelled () in
-        let m2 = Machine.create ~cache:false a.Arch.uarch in
-        check_identical "speculated vs serial" serial
-          (Machine.run_batch ~procs:2 m2 jobs);
-        if Shard_exec.chunks_cancelled () > c0 then
-          Alcotest.(check bool) "duplicates were dispatched" true
-            (Shard_exec.chunks_speculated () > s0)
-        else if tries > 1 then attempt (tries - 1)
-        else Alcotest.fail "no duplicate completion in five attempts"
-      in
-      attempt 5)
+  ignore (Shard_exec.get_pool 2);
+  let rec0 = Machine.jobs_recovered () in
+  let sent0 = Mp_util.Workerpool.frames_sent () in
+  let reopens0 = Mp_util.Workerpool.reopen_count () in
+  let m2 = Machine.create ~cache:false a.Arch.uarch in
+  (match Machine.run_batch ~procs:2 m2 (jobs @ [ (cfg, starved) ]) with
+   | _ -> Alcotest.fail "a starved job returned a measurement"
+   | exception Failure msg ->
+     Alcotest.(check bool)
+       (Printf.sprintf "starvation re-raised in-process (%s)" msg)
+       true
+       (String.starts_with ~prefix:"Core_sim: thread" msg));
+  Alcotest.(check bool) "the batch was sharded" true
+    (Mp_util.Workerpool.frames_sent () > sent0);
+  Alcotest.(check int) "only the failed chunk's job recovered" (rec0 + 1)
+    (Machine.jobs_recovered ());
+  let m3 = Machine.create ~cache:false a.Arch.uarch in
+  check_identical "next batch vs serial" serial
+    (Machine.run_batch ~procs:2 m3 jobs);
+  Alcotest.(check int) "nothing recovered afterwards" (rec0 + 1)
+    (Machine.jobs_recovered ());
+  Alcotest.(check int) "no slot respawned" reopens0
+    (Mp_util.Workerpool.reopen_count ())
 
 let () =
   Alcotest.run "mp_parallel"
@@ -841,7 +715,9 @@ let () =
          Alcotest.test_case "ensure_size lazy spawn" `Quick
            test_procpool_ensure_size;
          Alcotest.test_case "slow reader send idles" `Quick
-           test_slow_reader_send_idles ]);
+           test_slow_reader_send_idles;
+         Alcotest.test_case "failed spawn backs off" `Quick
+           test_failed_spawn_backs_off ]);
       ("multi-process",
        [ Alcotest.test_case "procs bit-identical vs serial" `Quick
            test_run_batch_procs_matches_serial;
@@ -849,22 +725,12 @@ let () =
            test_run_batch_worker_crash_recovers;
          Alcotest.test_case "malformed MP_PROCS rejected" `Quick
            (check_batch_rejects "MP_PROCS" "two") ]);
-      ("multi-host",
-       [ Alcotest.test_case "remote bit-identical vs serial" `Quick
-           test_run_batch_remote_matches_serial;
-         Alcotest.test_case "remote crash recovers + reconnects" `Quick
-           test_run_batch_remote_crash_recovers;
-         Alcotest.test_case "handshake rejection backs off" `Quick
-           test_handshake_rejected;
-         Alcotest.test_case "malformed MP_HOSTS rejected" `Quick
-           (check_batch_rejects "MP_HOSTS" "127.0.0.1:notaport") ]);
       ("dynamic scheduler",
-       [ Alcotest.test_case "MP_SPECULATE" `Quick test_speculate_knob_env;
-         Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;
+       [ Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;
          Alcotest.test_case "skewed batch bit-identical" `Quick
            test_dynamic_skewed_matches_serial;
          Alcotest.test_case "SIGKILL mid-batch requeues in-pool" `Quick
            test_dynamic_crash_requeues;
-         Alcotest.test_case "forced speculation: first result wins" `Quick
-           test_speculate_force_first_result_wins ]);
+         Alcotest.test_case "executor error fails its chunk" `Quick
+           test_executor_error_fails_chunk ]);
     ]

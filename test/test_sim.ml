@@ -422,10 +422,7 @@ let with_cache_dir dir f =
   Unix.putenv "MP_CACHE_DIR" dir;
   Fun.protect ~finally:(fun () -> Unix.putenv "MP_CACHE_DIR" "_mp_cache") f
 
-let fresh_dir tag =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mp_cache_test_%s_%d" tag (Unix.getpid ()))
+let fresh_dir = Tmp_dir.fresh ~prefix:"mp_cache_test"
 
 let cache_stats machine =
   match Machine.measurement_cache machine with

@@ -260,7 +260,7 @@ let test_csv_padding () =
 
 (* ----- transport frame codec --------------------------------------------- *)
 
-(* The wire format every worker slot speaks, subprocess or TCP peer.
+(* The wire format every worker slot speaks.
    Everything runs over a plain Unix pipe: the codec only
    sees fds, so a pipe exercises exactly the byte paths a socket
    would. Payload sizes stay under the kernel pipe buffer so a single
@@ -379,10 +379,6 @@ let test_env_grammar () =
   let int0 n = opt string_of_int (Env.int n ~min:0) in
   let int1 n = opt string_of_int (Env.int n ~min:1) in
   let pos n = opt string_of_float (Env.positive_float n) in
-  let hosts n =
-    String.concat ","
-      (List.map (fun (h, p) -> Printf.sprintf "%s/%d" h p) (Env.hosts n))
-  in
   let get n = opt Fun.id (Env.get n) in
   let spellings =
     List.concat_map
@@ -417,13 +413,6 @@ let test_env_grammar () =
         ("float", pos, "inf", None);
         ("float", pos, "nan", None);
         ("float", pos, "5s", None);
-        ("hosts", hosts, "a:1, ::1:7000 ,b:65535", Some "a/1,::1/7000,b/65535");
-        ("hosts", hosts, "", Some "");
-        ("hosts", hosts, "127.0.0.1:notaport", None);
-        ("hosts", hosts, "a:1,b", None);
-        ("hosts", hosts, "a:0", None);
-        ("hosts", hosts, "a:65536", None);
-        ("hosts", hosts, ":80", None);
         ("get", get, "  x  ", Some "x");
         ("get", get, " ", Some "absent") ]
   in
